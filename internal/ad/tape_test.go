@@ -13,8 +13,8 @@ import (
 // slices and a fused spec). It is a pure function of its inputs, so the same
 // call sequence replays exactly on a tape.
 func buildExpr(x, w *Var, gIdx, sIdx []int, spec *FusedRBF) *Var {
-	y := MatMul(x, w)                     // [n×3]
-	y = Add(SiLU(y), Mul(Tanh(y), x))     // elementwise mix
+	y := MatMul(x, w)                 // [n×3]
+	y = Add(SiLU(y), Mul(Tanh(y), x)) // elementwise mix
 	y = ScatterAdd(Gather(y, gIdx), sIdx, x.Value.Shape[0])
 	y = ConcatCols(Cols(y, 0, 1), Cols(y, 1, 3)) // identity re-assembly
 	y = AddConst(Scale(y, 0.5), 0.25)

@@ -107,10 +107,21 @@ func guideAt(cfg Config, numNets, i int) guidance.Set {
 	return guidance.Sample(numNets, rng, cfg.CMax)
 }
 
-// Label routes the design under gd and measures the five metrics.
+// Label routes the design under gd on a fresh Router and measures the five
+// metrics.
 func Label(ctx context.Context, g *grid.Grid, gd guidance.Set, rcfg route.Config) ([gnn3d.NumMetrics]float64, error) {
+	r, err := route.NewRouter(g, rcfg)
+	if err != nil {
+		return [gnn3d.NumMetrics]float64{}, fmt.Errorf("dataset: route: %w", err)
+	}
+	return labelWith(ctx, r, g, gd)
+}
+
+// labelWith is Label on a caller-owned Router over g. RunCtx resets the
+// Router's routing state, so a reused Router labels exactly like a fresh one.
+func labelWith(ctx context.Context, r *route.Router, g *grid.Grid, gd guidance.Set) ([gnn3d.NumMetrics]float64, error) {
 	var y [gnn3d.NumMetrics]float64
-	res, err := route.RouteCtx(ctx, g, gd, rcfg)
+	res, err := r.RunCtx(ctx, gd)
 	if err != nil {
 		return y, fmt.Errorf("dataset: route: %w", err)
 	}

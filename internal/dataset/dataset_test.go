@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"analogfold/internal/grid"
@@ -144,6 +145,48 @@ func TestGenerateDeterministic(t *testing.T) {
 	for i := range d1.Entries {
 		if d1.Entries[i].Y != d2.Entries[i].Y {
 			t.Errorf("entry %d labels differ across worker counts", i)
+		}
+	}
+}
+
+// routerRecordBytes is the size of the router's per-cell search record, a
+// lower bound on one Router's lattice footprint per cell.
+const routerRecordBytes = 48
+
+// TestRouterReuseAllocs pins Router reuse across the samples of a shard: with
+// one worker, each sample beyond the fourth may allocate less than one
+// Router's lattice, so no sample builds its own Router. Reuse must not change
+// a label either: every entry equals a fresh-Router Label of its guidance.
+func TestRouterReuseAllocs(t *testing.T) {
+	g := buildGrid(t, netlist.OTA1(), 1)
+	allocated := func(samples int) (uint64, *Dataset) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ds, err := Generate(context.Background(), g, Config{Samples: samples, Seed: 3, Workers: 1})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc, ds
+	}
+	a4, _ := allocated(4)
+	a8, ds := allocated(8)
+	footprint := uint64(g.NumCells() * routerRecordBytes)
+	if perSample := (a8 - a4) / 4; perSample >= footprint {
+		t.Errorf("each extra sample allocates %d bytes, want < %d (one Router's lattice)", perSample, footprint)
+	}
+
+	if ds.Dropped != 0 {
+		t.Fatalf("%d samples dropped; entries no longer line up with sample indices", ds.Dropped)
+	}
+	cfg := Config{Samples: 8, Seed: 3}.withDefaults()
+	for i, e := range ds.Entries {
+		y, err := Label(context.Background(), g, guideAt(cfg, ds.NumNets, i), route.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if y != e.Y {
+			t.Errorf("sample %d: reused-Router label %v, fresh-Router label %v", i, e.Y, y)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"analogfold/internal/fault/inject"
 	"analogfold/internal/grid"
 	"analogfold/internal/parallel"
+	"analogfold/internal/route"
 )
 
 // ShardSpec names one contiguous slice [Lo, Hi) of the deterministic sample
@@ -167,15 +168,32 @@ func GenerateShard(ctx context.Context, g *grid.Grid, cfg Config, sp ShardSpec) 
 	// recorded, not returned: an adversarial guidance draw must not abort the
 	// shard, so the pool only sees nil errors here — except cancellation,
 	// which must stop the remaining work.
+	//
+	// Each Router holds a few MB of per-cell lattice state, so building one
+	// per sample dominated the shard's allocations. Routers are reused
+	// instead: idle ones wait in a free list with room for one per worker,
+	// and they are garbage once the shard returns.
 	entries := make([]Entry, n)
 	failed := make([]bool, n)
+	idle := make(chan *route.Router, cfg.Workers)
 	if err := parallel.ForEach(ctx, cfg.Workers, n, func(k int) error {
 		gd := guideAt(cfg, numNets, sp.Lo+k)
 		if inject.Fire(inject.DatasetLabelFail) {
 			failed[k] = true
 			return nil
 		}
-		y, err := Label(ctx, g, gd, cfg.RouteCfg)
+		var r *route.Router
+		select {
+		case r = <-idle:
+		default:
+			var err error
+			if r, err = route.NewRouter(g, cfg.RouteCfg); err != nil {
+				failed[k] = true
+				return nil
+			}
+		}
+		y, err := labelWith(ctx, r, g, gd)
+		idle <- r
 		if err != nil {
 			if fault.IsTimeout(err) {
 				return err

@@ -79,10 +79,10 @@ type forwardEnv struct {
 	// Readout: batch == 1 sums node embeddings with a ones-row matmul (the
 	// original formulation); stacked instances scatter rows to their own
 	// instance bucket instead — same additions in the same order per row.
-	batch          int
-	onesAP, onesM  *ad.Var
-	readAP, readM  []int
-	invN           float64
+	batch         int
+	onesAP, onesM *ad.Var
+	readAP, readM []int
+	invN          float64
 
 	// mTile row-tiles the metal encoder output to the stacked node set: M
 	// features carry no guidance, so each instance's initial embeddings are

@@ -110,7 +110,10 @@ func TestRouterReuseAcrossRuns(t *testing.T) {
 	c := netlist.OTA2()
 	g := buildGrid(t, c, 54)
 	gd := guidance.Uniform(len(c.Nets))
-	r := NewRouter(g, Config{})
+	r, err := NewRouter(g, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	r1, err := r.Run(gd)
 	if err != nil {
 		t.Fatal(err)

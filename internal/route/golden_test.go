@@ -1,11 +1,13 @@
 package route_test
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,6 +17,7 @@ import (
 	"analogfold/internal/grid"
 	"analogfold/internal/guidance"
 	"analogfold/internal/netlist"
+	"analogfold/internal/obs"
 	"analogfold/internal/place"
 	"analogfold/internal/route"
 	"analogfold/internal/tech"
@@ -48,11 +51,9 @@ type goldenEntry struct {
 
 func goldenPath() string { return filepath.Join("testdata", "golden_route.json") }
 
-// routeGoldenEntry routes one benchmark and digests the outcome. Result
-// cells are emitted in ascending index order by the router, so hashing every
-// net's cell indices in net order is exact and deterministic — any added,
-// removed, or moved cell changes the digest.
-func routeGoldenEntry(t testing.TB, name string, c *netlist.Circuit) goldenEntry {
+// goldenGrid places one benchmark at profile A (seed 1) and builds its grid:
+// the fixed input every golden entry routes on.
+func goldenGrid(t testing.TB, name string, c *netlist.Circuit) *grid.Grid {
 	t.Helper()
 	p, err := place.Place(c, place.Config{Profile: place.ProfileA, Seed: 1, Iterations: 2000})
 	if err != nil {
@@ -62,11 +63,28 @@ func routeGoldenEntry(t testing.TB, name string, c *netlist.Circuit) goldenEntry
 	if err != nil {
 		t.Fatalf("%s: grid: %v", name, err)
 	}
+	return g
+}
+
+// routeGoldenEntry routes one benchmark with uniform guidance and digests
+// the outcome.
+func routeGoldenEntry(t testing.TB, name string, c *netlist.Circuit) goldenEntry {
+	t.Helper()
+	g := goldenGrid(t, name, c)
 	res, err := route.Route(g, guidance.Uniform(len(c.Nets)), route.Config{})
 	if err != nil {
 		t.Fatalf("%s: route: %v", name, err)
 	}
+	return digestGolden(t, name, g, res)
+}
 
+// digestGolden digests a routed result. Result cells are emitted in
+// ascending index order by the router, so hashing every net's cell indices
+// in net order is exact and deterministic — any added, removed, or moved
+// cell changes the digest.
+func digestGolden(t testing.TB, name string, g *grid.Grid, res *route.Result) goldenEntry {
+	t.Helper()
+	c := g.Place.Circuit
 	h := fnv.New64a()
 	total := 0
 	var buf [8]byte
@@ -118,7 +136,65 @@ func TestGoldenEquivalence(t *testing.T) {
 	for name, c := range goldenBenchmarks() {
 		got[name] = routeGoldenEntry(t, name, c)
 	}
+	checkGolden(t, goldenPath(), got)
+}
 
+// guidedDraw is one seeded guidance.Sample draw of the random-guidance
+// golden, routed under cfg.
+type guidedDraw struct {
+	seed int64
+	cfg  route.Config
+}
+
+// guidedDraws are routed on every OTA. Random guidance exercises what
+// uniform guidance cannot: per-net multipliers, per-axis cost asymmetry and
+// a heuristic scale below 1. The MaxIters 1 draw stops negotiation while
+// conflicts remain, so the hard (foreign cells blocked) post-pass runs.
+var guidedDraws = []guidedDraw{
+	{seed: 1},
+	{seed: 2},
+	{seed: 3, cfg: route.Config{MaxIters: 1}},
+}
+
+// TestGoldenRandomGuidance pins the router's exact output under seeded
+// random guidance draws, the regime dataset labeling runs in. The file
+// testdata/golden_route_guided.json is regenerated like golden_route.json:
+//
+//	go test ./internal/route/ -run TestGoldenRandomGuidance -update-golden
+func TestGoldenRandomGuidance(t *testing.T) {
+	got := map[string]goldenEntry{}
+	postPasses := 0
+	for name, c := range goldenBenchmarks() {
+		g := goldenGrid(t, name, c)
+		for _, d := range guidedDraws {
+			key := fmt.Sprintf("%s/seed%d/maxiters%d", name, d.seed, d.cfg.MaxIters)
+			gd := guidance.Sample(len(c.Nets), rand.New(rand.NewSource(d.seed)), guidance.DefaultCMax)
+			tel := obs.New(obs.Options{Seed: 1})
+			res, err := route.RouteCtx(obs.WithTelemetry(context.Background(), tel), g, gd, d.cfg)
+			if err != nil {
+				t.Fatalf("%s: route: %v", key, err)
+			}
+			for _, e := range tel.Recorder().Snapshot() {
+				if e.Name == "route.post" {
+					postPasses++
+					break
+				}
+			}
+			got[key] = digestGolden(t, key, g, res)
+		}
+	}
+	if postPasses == 0 {
+		t.Fatal("no draw reached the hard post-pass; the golden would not cover it")
+	}
+	checkGolden(t, guidedGoldenPath(), got)
+}
+
+func guidedGoldenPath() string { return filepath.Join("testdata", "golden_route_guided.json") }
+
+// checkGolden compares got against the golden file at path, or rewrites the
+// file under -update-golden.
+func checkGolden(t *testing.T, path string, got map[string]goldenEntry) {
+	t.Helper()
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -127,20 +203,23 @@ func TestGoldenEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath(), append(buf, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s", goldenPath())
+		t.Logf("rewrote %s", path)
 		return
 	}
 
-	raw, err := os.ReadFile(goldenPath())
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read golden (regenerate with -update-golden): %v", err)
 	}
 	var want map[string]goldenEntry
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Errorf("golden %s has %d entries, run produced %d", path, len(want), len(got))
 	}
 	for name, w := range want {
 		g, ok := got[name]

@@ -19,7 +19,10 @@ func astarFixture(tb testing.TB) (*Router, int, []geom.Point3) {
 	c := netlist.OTA1()
 	g := buildGrid(tb, c, 1)
 	gd := guidance.Uniform(len(c.Nets))
-	r := NewRouter(g, Config{})
+	r, err := NewRouter(g, Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
 	if _, err := r.Run(gd); err != nil {
 		tb.Fatalf("warm-up run: %v", err)
 	}
@@ -77,7 +80,10 @@ func TestRouteNegotiationSteadyStateAllocs(t *testing.T) {
 	c := netlist.OTA1()
 	g := buildGrid(t, c, 1)
 	gd := guidance.Uniform(len(c.Nets))
-	r := NewRouter(g, Config{})
+	r, err := NewRouter(g, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := r.Run(gd); err != nil {
 		t.Fatal(err)
 	}
@@ -99,10 +105,13 @@ func TestRouteNegotiationSteadyStateAllocs(t *testing.T) {
 // dirDelta offsets agree with coordinate-space neighbor steps.
 func TestCellIndexRoundTrip(t *testing.T) {
 	g := buildGrid(t, netlist.OTA1(), 1)
-	r := NewRouter(g, Config{})
+	r, err := NewRouter(g, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	n := g.NumCells()
 	for idx := 0; idx < n; idx++ {
-		p := r.cellFromIndex(idx)
+		p := r.cellFromIndex(int32(idx))
 		if !g.InBounds(p) {
 			t.Fatalf("cellFromIndex(%d) = %v out of bounds", idx, p)
 		}
@@ -114,7 +123,7 @@ func TestCellIndexRoundTrip(t *testing.T) {
 		for y := 0; y < g.NY; y++ {
 			for x := 0; x < g.NX; x++ {
 				p := geom.Point3{X: x, Y: y, Z: z}
-				if got := r.cellFromIndex(g.CellIndex(p)); got != p {
+				if got := r.cellFromIndex(int32(g.CellIndex(p))); got != p {
 					t.Fatalf("round-trip %v -> %v", p, got)
 				}
 			}
@@ -138,7 +147,10 @@ func TestCellIndexRoundTrip(t *testing.T) {
 // accessor must agree with a fresh build.
 func TestPinGroupsDeterministic(t *testing.T) {
 	g := buildGrid(t, netlist.OTA3(), 1)
-	r := NewRouter(g, Config{})
+	r, err := NewRouter(g, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for ni := range g.NetAPs {
 		ref := buildPinGroups(g, ni)
 		for trial := 0; trial < 20; trial++ {
@@ -243,7 +255,10 @@ func BenchmarkRouteNegotiation(b *testing.B) {
 	c := netlist.OTA1()
 	g := buildGrid(b, c, 1)
 	gd := guidance.Uniform(len(c.Nets))
-	r := NewRouter(g, Config{})
+	r, err := NewRouter(g, Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	if _, err := r.Run(gd); err != nil {
 		b.Fatal(err)
 	}
@@ -262,7 +277,10 @@ func BenchmarkRouteNegotiationSelective(b *testing.B) {
 	c := netlist.OTA1()
 	g := buildGrid(b, c, 1)
 	gd := guidance.Uniform(len(c.Nets))
-	r := NewRouter(g, Config{SelectiveReroute: true})
+	r, err := NewRouter(g, Config{SelectiveReroute: true})
+	if err != nil {
+		b.Fatal(err)
+	}
 	if _, err := r.Run(gd); err != nil {
 		b.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"analogfold/internal/fault"
@@ -109,24 +110,18 @@ type Router struct {
 	g   *grid.Grid
 	cfg Config
 
-	// Search scratch, versioned by epoch to avoid O(cells) clears.
-	dist   []float64
-	parent []int32
-	stamp  []int32
-	closed []int32 // closed set: cell already expanded this search
-	epoch  int32
-
-	// targetStamp marks the current search's target cells (versioned by the
-	// same per-search epoch as dist/parent/stamp/closed).
-	targetStamp []int32
+	// cells is the per-cell record the A* loop reads: search scratch,
+	// negotiation state, the static obstacle word and the cell's coordinates,
+	// one 48-byte record per lattice cell.
+	cells []cellState
+	epoch int32 // current search epoch (see cellState.stamp)
 
 	// Per-net scratch, versioned by netEpoch (one bump per routed net):
 	// treeStamp marks cells of the growing route tree, cellStamp cells of
-	// the net's cell set, mirrorStamp mirror cells of the routed sym peer.
-	treeStamp   []int32
-	cellStamp   []int32
-	mirrorStamp []int32
-	netEpoch    int32
+	// the net's cell set, cellState.mirror mirror cells of the routed peer.
+	treeStamp []int32
+	cellStamp []int32
+	netEpoch  int32
 
 	// Reusable index lists and buffers backing the stamped sets above.
 	treeCells []int32
@@ -136,20 +131,15 @@ type Router struct {
 	remaining []remGroup
 	open      pqHeap
 
-	// Per-net step-cost tables filled by prepNetCosts: planar step cost per
-	// layer (preferred-direction penalty folded in) and the via step cost.
-	stepX  []float64
-	stepY  []float64
-	stepZ  float64
-	maxZ   int
-	hScale float64
+	// Per-net step costs filled by prepNetCosts: stepCost[di*NL+z] is the
+	// cost of a neighborDirs[di] step from layer z (preferred-direction
+	// penalty folded in); maxZ is the net's highest allowed layer.
+	stepCost []float64
+	maxZ     int
+	hScale   float64
 
 	// dirDelta[i] is the flat-index offset of neighborDirs[i].
 	dirDelta [6]int
-
-	// usage[cell] = number of nets currently using the cell.
-	usage []int16
-	hist  []float64
 
 	// Incremental conflict accounting: conflictCount tracks cells with
 	// usage > 1 (maintained by commit/ripUp); conflictCells is the worklist
@@ -170,27 +160,85 @@ type Router struct {
 	ctxPolls int
 }
 
-// NewRouter creates a router over a grid.
-func NewRouter(g *grid.Grid, cfg Config) *Router {
+// cellState is one lattice cell's record. Search fields (dist, parent,
+// closed, target) are valid only while stamp, closed or target equals the
+// current search epoch; mirror is valid at the current net epoch. Bumping an
+// epoch invalidates the whole lattice in O(1).
+type cellState struct {
+	dist   float64 // best path cost found this search (valid when stamp == epoch)
+	hist   float64 // PathFinder history cost
+	parent int32   // predecessor on the best path, -1 at a seed
+	stamp  int32   // search epoch in which dist/parent were written
+	closed int32   // search epoch in which the cell was expanded
+	target int32   // search epoch in which the cell is a target
+	mirror int32   // net epoch in which the cell mirrors the routed sym peer
+	// obst is static: obstBlocked, obstFree or the net owning the cell as a
+	// pin access point. A search for net ni may enter the cell only when
+	// obst is obstFree or ni.
+	obst  int32
+	usage int16 // number of nets currently using the cell
+	x, y  uint16
+	z     uint8
+	// nbr has bit di set when neighborDirs[di] stays inside the lattice.
+	nbr uint8
+}
+
+// Static obstacle words.
+const (
+	obstBlocked int32 = -2
+	obstFree    int32 = -1
+)
+
+// maxCells bounds the lattice: cell indices are int32 in the open list and
+// the parent links.
+const maxCells = math.MaxInt32
+
+// NewRouter creates a router over a grid. It fails with a typed
+// fault.ErrInvalidInput when a grid dimension does not fit the per-cell
+// record's coordinate fields or the lattice exceeds int32 cell indices.
+func NewRouter(g *grid.Grid, cfg Config) (*Router, error) {
+	if g.NX > math.MaxUint16 || g.NY > math.MaxUint16 || g.NL > math.MaxUint8 ||
+		int64(g.NX)*int64(g.NY)*int64(g.NL) > maxCells {
+		return nil, fault.New(fault.StageRouting, fault.ErrInvalidInput,
+			"route: %d×%d×%d grid exceeds the router's limits (%d×%d×%d, %d cells)",
+			g.NX, g.NY, g.NL, math.MaxUint16, math.MaxUint16, math.MaxUint8, maxCells)
+	}
 	n := g.NumCells()
-	return &Router{
+	r := &Router{
 		g: g, cfg: cfg.withDefaults(),
-		dist:          make([]float64, n),
-		parent:        make([]int32, n),
-		stamp:         make([]int32, n),
-		closed:        make([]int32, n),
-		targetStamp:   make([]int32, n),
+		cells:         make([]cellState, n),
 		treeStamp:     make([]int32, n),
 		cellStamp:     make([]int32, n),
-		mirrorStamp:   make([]int32, n),
-		stepX:         make([]float64, g.NL),
-		stepY:         make([]float64, g.NL),
+		stepCost:      make([]float64, len(neighborDirs)*g.NL),
 		dirDelta:      [6]int{1, -1, g.NX, -g.NX, g.NX * g.NY, -(g.NX * g.NY)},
-		usage:         make([]int16, n),
-		hist:          make([]float64, n),
 		inConflict:    make([]bool, n),
 		pinGroupCache: make([][]pinGroup, len(g.NetAPs)),
 	}
+	idx := 0
+	for z := 0; z < g.NL; z++ {
+		for y := 0; y < g.NY; y++ {
+			for x := 0; x < g.NX; x++ {
+				cs := &r.cells[idx]
+				cs.x, cs.y, cs.z = uint16(x), uint16(y), uint8(z)
+				cs.nbr = inBoundsBit(x+1 < g.NX, 0) | inBoundsBit(x > 0, 1) |
+					inBoundsBit(y+1 < g.NY, 2) | inBoundsBit(y > 0, 3) |
+					inBoundsBit(z+1 < g.NL, 4) | inBoundsBit(z > 0, 5)
+				cs.obst = int32(g.OwnerAt(idx)) // obstFree when unowned
+				if g.BlockedAt(idx) {
+					cs.obst = obstBlocked
+				}
+				idx++
+			}
+		}
+	}
+	return r, nil
+}
+
+func inBoundsBit(ok bool, di uint) uint8 {
+	if ok {
+		return 1 << di
+	}
+	return 0
 }
 
 // resetState clears the cross-iteration routing state so a reused Router
@@ -199,11 +247,9 @@ func NewRouter(g *grid.Grid, cfg Config) *Router {
 // history into reruns; resetting makes Router reuse exactly equivalent to
 // constructing a new Router.
 func (r *Router) resetState() {
-	for i := range r.usage {
-		r.usage[i] = 0
-	}
-	for i := range r.hist {
-		r.hist[i] = 0
+	for i := range r.cells {
+		r.cells[i].usage = 0
+		r.cells[i].hist = 0
 	}
 	for _, idx := range r.conflictCells {
 		r.inConflict[idx] = false
@@ -216,14 +262,18 @@ func (r *Router) resetState() {
 // guidance.Uniform for the unguided baseline). It is the
 // context-free convenience over RouteCtx.
 func Route(g *grid.Grid, gd guidance.Set, cfg Config) (*Result, error) {
-	return NewRouter(g, cfg).RunCtx(context.Background(), gd)
+	return RouteCtx(context.Background(), g, gd, cfg)
 }
 
 // RouteCtx is Route under a cancellation context: the search observes ctx
 // between nets and periodically inside A*, returning a typed fault
 // (fault.ErrTimeout / fault.ErrCanceled) when the deadline lands mid-run.
 func RouteCtx(ctx context.Context, g *grid.Grid, gd guidance.Set, cfg Config) (*Result, error) {
-	return NewRouter(g, cfg).RunCtx(ctx, gd)
+	r, err := NewRouter(g, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return r.RunCtx(ctx, gd)
 }
 
 // Run executes rip-up-and-reroute until conflict-free or MaxIters, then a

@@ -18,10 +18,10 @@ import (
 // history sweep).
 func (r *Router) ripUp(ni int, cells []geom.Point3) {
 	for _, c := range cells {
-		idx := r.g.CellIndex(c)
-		if r.usage[idx] > 0 {
-			r.usage[idx]--
-			if r.usage[idx] == 1 {
+		cs := &r.cells[r.g.CellIndex(c)]
+		if cs.usage > 0 {
+			cs.usage--
+			if cs.usage == 1 {
 				r.conflictCount--
 			}
 		}
@@ -33,8 +33,8 @@ func (r *Router) ripUp(ni int, cells []geom.Point3) {
 func (r *Router) commit(ni int, cells []geom.Point3) {
 	for _, c := range cells {
 		idx := r.g.CellIndex(c)
-		r.usage[idx]++
-		if r.usage[idx] == 2 {
+		r.cells[idx].usage++
+		if r.cells[idx].usage == 2 {
 			r.conflictCount++
 			if !r.inConflict[idx] {
 				r.inConflict[idx] = true
@@ -53,9 +53,9 @@ func (r *Router) countConflictsAndRaiseHistory() int {
 	kept := r.conflictCells[:0]
 	n := 0
 	for _, idx := range r.conflictCells {
-		if r.usage[idx] > 1 {
+		if cs := &r.cells[idx]; cs.usage > 1 {
 			n++
-			r.hist[idx] += r.cfg.HistIncr
+			cs.hist += r.cfg.HistIncr
 			kept = append(kept, idx)
 		} else {
 			r.inConflict[idx] = false
@@ -71,7 +71,7 @@ func (r *Router) totalConflicts() int { return r.conflictCount }
 
 func (r *Router) netConflicted(ni int, cells []geom.Point3) bool {
 	for _, c := range cells {
-		if r.usage[r.g.CellIndex(c)] > 1 {
+		if r.cells[r.g.CellIndex(c)].usage > 1 {
 			return true
 		}
 	}
@@ -133,7 +133,7 @@ func (r *Router) routeNetHard(ni int, gd guidance.Set, netCells [][]geom.Point3)
 	return r.routeNetImpl(ni, gd, r.cfg.MaxIters, netCells, true)
 }
 
-// prepNetCosts fills the per-(direction, layer) step-cost tables for net ni,
+// prepNetCosts fills the per-(direction, layer) step-cost table for net ni,
 // hoisting the guidance multipliers, preferred-direction penalty and layer
 // ceiling out of the A* neighbor loop. Called once per routeNetImpl; the
 // products are formed in the same order as the old inline switch so the
@@ -149,6 +149,7 @@ func (r *Router) prepNetCosts(ni int, gv guidance.Vec) {
 	multX := r.stepMult(gv[0])
 	multY := r.stepMult(gv[1])
 	multZ := r.stepMult(gv[2])
+	stepZ := r.cfg.ViaCost * multZ
 	for z := 0; z < g.NL; z++ {
 		sx, sy := multX, multY
 		if g.Tech.Layers[z].Dir == tech.Vertical {
@@ -157,9 +158,10 @@ func (r *Router) prepNetCosts(ni int, gv guidance.Vec) {
 		if g.Tech.Layers[z].Dir == tech.Horizontal {
 			sy *= r.cfg.WrongWayCost
 		}
-		r.stepX[z], r.stepY[z] = sx, sy
+		for di, cost := range [6]float64{sx, sx, sy, sy, stepZ, stepZ} {
+			r.stepCost[di*g.NL+z] = cost
+		}
 	}
-	r.stepZ = r.cfg.ViaCost * multZ
 	r.maxZ = maxZ
 	// Heuristic scale: the cheaper planar multiplier, capped at 1 so the
 	// bounding-box heuristic stays a lower bound on the real step costs.
@@ -186,7 +188,7 @@ func (r *Router) routeNetImpl(ni int, gd guidance.Set, iter int, netCells [][]ge
 		for _, c := range netCells[peer] {
 			m := g.MirrorCell(c)
 			if g.InBounds(m) {
-				r.mirrorStamp[g.CellIndex(m)] = ne
+				r.cells[g.CellIndex(m)].mirror = ne
 			}
 		}
 	}
@@ -265,7 +267,7 @@ func (r *Router) routeNetImpl(ni int, gd guidance.Set, iter int, netCells [][]ge
 	slices.Sort(r.cellIdx)
 	cells := make([]geom.Point3, len(r.cellIdx))
 	for i, idx := range r.cellIdx {
-		cells[i] = r.cellFromIndex(int(idx))
+		cells[i] = r.cellFromIndex(idx)
 	}
 	return cells, paths, nil
 }
@@ -309,24 +311,28 @@ func (r *Router) astar(ni int, iter int, targets []geom.Point3, hard bool) ([]ge
 	ep := r.epoch
 	ne := r.netEpoch
 	maxZ := r.maxZ
+	nl := g.NL
+	net := int32(ni)
+	cells := r.cells
 
-	// Heuristic: scaled distance to the targets' bounding box (a lower bound
-	// on the distance to any target), weighted greedily — the router trades a
-	// little path optimality for a large search-space reduction, as detailed
-	// routers commonly do.
+	// Heuristic: hScale times the distance to the targets' bounding box, a
+	// lower bound on the steps to any target. The search is not weighted:
+	// hScale = min(multX, multY, 1) is at most the cheaper planar
+	// multiplier, though mirror-cell discounts can make a step cheaper still.
 	loX, loY, loZ := math.MaxInt32, math.MaxInt32, math.MaxInt32
 	hiX, hiY, hiZ := math.MinInt32, math.MinInt32, math.MinInt32
 	for _, t := range targets {
-		r.targetStamp[g.CellIndex(t)] = ep
+		cells[g.CellIndex(t)].target = ep
 		loX, hiX = minI(loX, t.X), maxI(hiX, t.X)
 		loY, hiY = minI(loY, t.Y), maxI(hiY, t.Y)
 		loZ, hiZ = minI(loZ, t.Z), maxI(hiZ, t.Z)
 	}
 	hScale := r.hScale
-	h := func(p geom.Point3) float64 {
-		dx := maxI(0, maxI(loX-p.X, p.X-hiX))
-		dy := maxI(0, maxI(loY-p.Y, p.Y-hiY))
-		dz := maxI(0, maxI(loZ-p.Z, p.Z-hiZ))
+	h := func(cs *cellState) float64 {
+		x, y, z := int(cs.x), int(cs.y), int(cs.z)
+		dx := maxI(0, maxI(loX-x, x-hiX))
+		dy := maxI(0, maxI(loY-y, y-hiY))
+		dz := maxI(0, maxI(loZ-z, z-hiZ))
 		return hScale * float64(dx+dy+dz)
 	}
 
@@ -335,12 +341,12 @@ func (r *Router) astar(ni int, iter int, targets []geom.Point3, hard bool) ([]ge
 	r.seedBuf = append(r.seedBuf[:0], r.treeCells...)
 	slices.Sort(r.seedBuf)
 	r.open.reset()
-	for _, idx32 := range r.seedBuf {
-		idx := int(idx32)
-		r.dist[idx] = 0
-		r.parent[idx] = -1
-		r.stamp[idx] = ep
-		r.open.push(idx32, h(r.cellFromIndex(idx)))
+	for _, idx := range r.seedBuf {
+		cs := &cells[idx]
+		cs.dist = 0
+		cs.parent = -1
+		cs.stamp = ep
+		r.open.push(idx, h(cs))
 	}
 
 	var found int32 = -1
@@ -354,60 +360,46 @@ func (r *Router) astar(ni int, iter int, targets []geom.Point3, hard bool) ([]ge
 		}
 		cell32, _ := r.open.pop()
 		idx := int(cell32)
-		if r.closed[idx] == ep {
+		cur := &cells[idx]
+		if cur.closed == ep {
 			continue // already expanded this search
 		}
-		r.closed[idx] = ep
-		cur := r.cellFromIndex(idx)
-		if r.targetStamp[idx] == ep {
+		cur.closed = ep
+		if cur.target == ep {
 			found = cell32
 			break
 		}
-		for di, d := range neighborDirs {
-			nxt := cur.Add(d)
-			if !g.InBounds(nxt) {
-				continue
-			}
-			if nxt.Z > maxZ {
+		z := int(cur.z)
+		for di := range neighborDirs {
+			if cur.nbr&(1<<di) == 0 || z+dirDZ[di] > maxZ {
 				continue
 			}
 			nIdx := idx + r.dirDelta[di]
-			if g.BlockedAt(nIdx) {
-				continue
+			nxt := &cells[nIdx]
+			if o := nxt.obst; o != obstFree && o != net {
+				continue // blocked, or a foreign pin pad: hard obstacle
 			}
-			if o := g.OwnerAt(nIdx); o >= 0 && o != ni {
-				continue // foreign pin pad: hard obstacle
-			}
-			// Step cost from the per-net (direction, layer) tables.
-			var cost float64
-			switch {
-			case di >= 4:
-				cost = r.stepZ
-			case di < 2:
-				cost = r.stepX[nxt.Z]
-			default:
-				cost = r.stepY[nxt.Z]
-			}
-			if r.mirrorStamp[nIdx] == ne {
+			cost := r.stepCost[di*nl+z]
+			if nxt.mirror == ne {
 				cost *= r.cfg.SymDiscount
 			}
 			// Congestion: the net itself is ripped up during its own search,
 			// so usage is exactly the foreign-use count.
-			if fu := r.usage[nIdx]; fu > 0 {
+			if fu := nxt.usage; fu > 0 {
 				if hard {
 					continue
 				}
 				cost += r.cfg.PresentFactor * float64(iter+1) * float64(fu)
 			}
-			cost += r.hist[nIdx]
+			cost += nxt.hist
 
-			nd := r.dist[idx] + cost
-			if r.stamp[nIdx] == ep && nd >= r.dist[nIdx] {
+			nd := cur.dist + cost
+			if nxt.stamp == ep && nd >= nxt.dist {
 				continue
 			}
-			r.dist[nIdx] = nd
-			r.parent[nIdx] = cell32
-			r.stamp[nIdx] = ep
+			nxt.dist = nd
+			nxt.parent = cell32
+			nxt.stamp = ep
 			r.open.push(int32(nIdx), nd+h(nxt))
 		}
 	}
@@ -416,28 +408,27 @@ func (r *Router) astar(ni int, iter int, targets []geom.Point3, hard bool) ([]ge
 	}
 	// Reconstruct seed→target; only this result slice is allocated.
 	r.pathBuf = r.pathBuf[:0]
-	for at := found; at >= 0; at = r.parent[at] {
+	for at := found; at >= 0; at = cells[at].parent {
 		r.pathBuf = append(r.pathBuf, at)
-		if r.parent[at] < 0 {
-			break
-		}
 	}
 	path := make([]geom.Point3, len(r.pathBuf))
 	for i := range path {
-		path[i] = r.cellFromIndex(int(r.pathBuf[len(r.pathBuf)-1-i]))
+		path[i] = r.cellFromIndex(r.pathBuf[len(r.pathBuf)-1-i])
 	}
 	return path, nil
 }
 
-var neighborDirs = []geom.Point3{
+// neighborDirs are the six lattice steps; dirDZ[di] is neighborDirs[di].Z.
+var neighborDirs = [6]geom.Point3{
 	{X: 1}, {X: -1}, {Y: 1}, {Y: -1}, {Z: 1}, {Z: -1},
 }
 
-func (r *Router) cellFromIndex(idx int) geom.Point3 {
-	nx, ny := r.g.NX, r.g.NY
-	z := idx / (nx * ny)
-	rem := idx % (nx * ny)
-	return geom.Point3{X: rem % nx, Y: rem / nx, Z: z}
+var dirDZ = [6]int{0, 0, 0, 0, 1, -1}
+
+// cellFromIndex returns the coordinates of flat cell index idx.
+func (r *Router) cellFromIndex(idx int32) geom.Point3 {
+	cs := &r.cells[idx]
+	return geom.Point3{X: int(cs.x), Y: int(cs.y), Z: int(cs.z)}
 }
 
 func minI(a, b int) int {

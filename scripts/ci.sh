@@ -12,6 +12,14 @@ go build ./...
 echo "== go vet =="
 go vet ./...
 
+echo "== gofmt =="
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+  echo "FAIL: gofmt -l lists unformatted files:" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
+
 echo "== go test =="
 go test ./...
 
