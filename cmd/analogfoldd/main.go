@@ -68,7 +68,7 @@ func main() {
 	hedgePct := fs.Float64("hedge-percentile", 0.95, "latency percentile driving the adaptive hedge budget; <0 pins the static -hedge-after (coordinator mode)")
 	maxHedges := fs.Int("max-hedges", 1, "max hedged attempts per request (coordinator mode)")
 	retryBackoff := fs.Duration("retry-backoff", 5*time.Millisecond, "base failover backoff, doubled per attempt with hash-deterministic jitter (coordinator mode)")
-	busyDepth := fs.Int64("busy-queue-depth", 16, "scraped replica queue depth that grades it degraded (coordinator mode)")
+	busyDepth := fs.Int64("busy-queue-depth", 16, "replica queue depth, read from its /readyz body, that grades it degraded (coordinator mode)")
 	leaseTTL := fs.Duration("lease-ttl", 5*time.Minute, "dataset shard lease tenure before the shard is re-dispatched (coordinator mode)")
 	datasetDir := fs.String("dataset-dir", "", "crash-safe dataset manifest journal root; empty disables resume (coordinator mode)")
 	datasetShardSize := fs.Int("dataset-shard-size", 0, "default samples per dataset shard (0 = 32, coordinator mode)")

@@ -49,9 +49,6 @@ func Leaf(t *tensor.Tensor, requiresGrad bool) *Var {
 // Const creates a non-differentiable graph input.
 func Const(t *tensor.Tensor) *Var { return Leaf(t, false) }
 
-// RequiresGrad reports whether gradients flow into this node.
-func (v *Var) RequiresGrad() bool { return v.requires }
-
 // GradLive reports whether v.Grad holds a gradient accumulated since the
 // last ZeroGrad (for tape-bound nodes: during the tape's latest backward
 // pass). Optimizers test it instead of Grad == nil, which stopped being a

@@ -291,7 +291,7 @@ func TestChaosKillMidRequestFailsOver(t *testing.T) {
 	if string(body) != want[bench] {
 		t.Fatalf("failover body not bit-identical:\n got: %s\nwant: %s", body, want[bench])
 	}
-	if c.met.failovers.Load() == 0 {
+	if c.met.failovers.Value() == 0 {
 		t.Error("failover counter is zero; the kill was not exercised")
 	}
 }
@@ -345,8 +345,8 @@ func TestChaosKillMidHedge(t *testing.T) {
 	if string(body) != want[bench] {
 		t.Fatalf("mid-hedge body not bit-identical to reference")
 	}
-	if c.met.hedges.Load() != 1 {
-		t.Errorf("hedges = %d, want 1 (the race was exercised)", c.met.hedges.Load())
+	if c.met.hedges.Value() != 1 {
+		t.Errorf("hedges = %d, want 1 (the race was exercised)", c.met.hedges.Value())
 	}
 	m := c.MetricsSnapshot()
 	if m.Accepted != 1 || m.Answered != 1 || m.Shed != 0 {

@@ -10,10 +10,9 @@
 //     replica and its warm flow cache — and every request has a
 //     deterministic failover order over the remaining replicas.
 //  2. Health-driven routing. A per-replica prober tracks /readyz and grades
-//     live replicas by their /metrics scrape (breaker state, admission queue
-//     depth); down replicas are demoted to last-ditch candidates, degraded
-//     ones behind healthy ones, all without disturbing the hash order within
-//     a tier.
+//     live replicas by its body (breaker state, admission queue depth); down
+//     replicas are demoted to last-ditch candidates, degraded ones behind
+//     healthy ones, all without disturbing the hash order within a tier.
 //  3. Failover. Transport errors, timeouts and 5xx answers fail over to the
 //     next replica on the ladder after a jittered backoff; the jitter is
 //     derived deterministically from the request digest so retry waves from
@@ -84,7 +83,7 @@ type Config struct {
 	// waits backoff·2^(k-1) plus a deterministic jitter from the request
 	// digest, capped at 8× the base.
 	RetryBackoff time.Duration
-	// BusyQueueDepth is the scraped admission queue depth at which a live
+	// BusyQueueDepth is the probed admission queue depth at which a live
 	// replica is graded degraded and routed around (default 16).
 	BusyQueueDepth int64
 	// DrainTimeout bounds the graceful drain on shutdown (default 30s).
@@ -165,7 +164,7 @@ type Coordinator struct {
 	local    http.Handler
 	met      metrics
 	reg      *obs.Registry
-	lat      latHist
+	lat      obs.Histogram // successful proxy latencies behind the hedge budget (unregistered)
 	slo      *obs.SLO
 	stages   *obs.StageMetrics
 
@@ -193,6 +192,7 @@ func New(cfg Config) *Coordinator {
 	c := &Coordinator{
 		cfg:     cfg,
 		client:  &http.Client{Transport: tr},
+		met:     newMetrics(reg),
 		reg:     reg,
 		stopc:   make(chan struct{}),
 		drained: make(chan struct{}),
@@ -335,7 +335,7 @@ func (c *Coordinator) attempt(ctx context.Context, rep *replica, path string, bo
 		rep.markFailure(false)
 	} else {
 		rep.markSuccess()
-		c.lat.observe(time.Since(start))
+		c.lat.Observe(time.Since(start))
 	}
 	span.Arg("status", resp.StatusCode)
 	out <- &attemptResult{rep: rep, status: resp.StatusCode, header: resp.Header, body: b, hedged: hedged, dur: time.Since(start)}
@@ -376,10 +376,10 @@ func (c *Coordinator) hedgeDelay() time.Duration {
 		return c.cfg.HedgeAfter
 	}
 	const minSamples = 16
-	if c.lat.count.Load() < minSamples {
+	if c.lat.Count() < minSamples {
 		return c.cfg.HedgeAfter
 	}
-	d := c.lat.percentile(c.cfg.HedgePercentile)
+	d := c.lat.QuantileEdge(c.cfg.HedgePercentile)
 	if min := time.Millisecond; d < min {
 		d = min
 	}

@@ -127,13 +127,19 @@ func newTestCoordinator(t *testing.T, cfg Config) *Coordinator {
 // benchWithFirstChoice finds a benchmark whose rendezvous first choice is the
 // wanted replica. Ports (and so hashes) vary per run; 20 benches make a miss
 // astronomically unlikely, and the t.Skip is a loud fallback, not an expected
-// path.
+// path. The rank is the pure hash order, not candidates(): the prober's
+// first probe may already have demoted a dead replica, which must not make
+// the search miss.
 func benchWithFirstChoice(t *testing.T, c *Coordinator, want *replica) string {
 	t.Helper()
+	hashes := make([]uint64, len(c.replicas))
+	for i, r := range c.replicas {
+		hashes[i] = r.hash
+	}
 	for _, ckt := range []string{"OTA1", "OTA2", "OTA3", "OTA4", "OTA5"} {
 		for _, prof := range []string{"A", "B", "C", "D"} {
 			bench := ckt + "-" + prof
-			if c.candidates(Digest(bench))[0].url == want.url {
+			if c.replicas[rankOrder(Digest(bench), hashes)[0]].url == want.url {
 				return bench
 			}
 		}
@@ -220,8 +226,8 @@ func TestFailoverOn5xxReachesNextRung(t *testing.T) {
 	if got := resp.Header.Get(HeaderReplica); got != good.ts.URL {
 		t.Errorf("winner = %q, want the good replica %q", got, good.ts.URL)
 	}
-	if c.met.failovers.Load() != 1 {
-		t.Errorf("failovers = %d, want 1", c.met.failovers.Load())
+	if c.met.failovers.Value() != 1 {
+		t.Errorf("failovers = %d, want 1", c.met.failovers.Value())
 	}
 	if badRep.failures.Load() != 1 {
 		t.Errorf("bad replica failures = %d, want 1", badRep.failures.Load())
@@ -231,8 +237,8 @@ func TestFailoverOn5xxReachesNextRung(t *testing.T) {
 	if st := badRep.getState(); st != stateUp {
 		t.Errorf("bad replica state after 500 = %s, want up", st)
 	}
-	if c.met.answered.Load() != 1 || c.met.shed.Load() != 0 {
-		t.Errorf("answered=%d shed=%d, want 1/0", c.met.answered.Load(), c.met.shed.Load())
+	if c.met.answered.Value() != 1 || c.met.shed.Value() != 0 {
+		t.Errorf("answered=%d shed=%d, want 1/0", c.met.answered.Value(), c.met.shed.Value())
 	}
 }
 
@@ -307,11 +313,11 @@ func TestHedgeFirstSuccessWinsAndCancelsLoser(t *testing.T) {
 	if got := resp.Header.Get(HeaderReplica); got != hedgeTo.ts.URL {
 		t.Errorf("winner = %q, want the hedge target %q", got, hedgeTo.ts.URL)
 	}
-	if c.met.hedges.Load() != 1 || c.met.hedgeWins.Load() != 1 {
-		t.Errorf("hedges=%d hedgeWins=%d, want 1/1", c.met.hedges.Load(), c.met.hedgeWins.Load())
+	if c.met.hedges.Value() != 1 || c.met.hedgeWins.Value() != 1 {
+		t.Errorf("hedges=%d hedgeWins=%d, want 1/1", c.met.hedges.Value(), c.met.hedgeWins.Value())
 	}
-	if c.met.failovers.Load() != 0 {
-		t.Errorf("failovers = %d, want 0 (this was a hedge, not a retry)", c.met.failovers.Load())
+	if c.met.failovers.Value() != 0 {
+		t.Errorf("failovers = %d, want 0 (this was a hedge, not a retry)", c.met.failovers.Value())
 	}
 	// The stalled primary must have been canceled, not left running to
 	// completion — first success wins, losers are reaped.
@@ -501,7 +507,7 @@ func TestAdaptiveHedgeBudget(t *testing.T) {
 	// 32 observations around 8ms: the budget adapts down to the bucket edge
 	// covering the p95 — 8ms lands in bucket (4,8] → upper edge 16ms.
 	for i := 0; i < 32; i++ {
-		c.lat.observe(8 * time.Millisecond)
+		c.lat.Observe(8 * time.Millisecond)
 	}
 	got := c.hedgeDelay()
 	if got < time.Millisecond || got > 32*time.Millisecond {
@@ -509,7 +515,7 @@ func TestAdaptiveHedgeBudget(t *testing.T) {
 	}
 	// Pathologically slow observations are clamped to AttemptTimeout/2.
 	for i := 0; i < 64; i++ {
-		c.lat.observe(time.Hour)
+		c.lat.Observe(time.Hour)
 	}
 	if got := c.hedgeDelay(); got != 5*time.Second {
 		t.Errorf("clamped budget = %v, want AttemptTimeout/2 = 5s", got)
@@ -518,5 +524,42 @@ func TestAdaptiveHedgeBudget(t *testing.T) {
 	c.cfg.HedgePercentile = -1
 	if got := c.hedgeDelay(); got != 250*time.Millisecond {
 		t.Errorf("disabled adaptation budget = %v, want static 250ms", got)
+	}
+}
+
+// TestProbeGradesDegradedFromReadyz pins the prober's grading from the
+// /readyz body: a replica reporting its breaker open, or an admission queue
+// at least BusyQueueDepth deep, is graded degraded and returns to up when
+// the condition clears; a bare 200 grades up.
+func TestProbeGradesDegradedFromReadyz(t *testing.T) {
+	var body atomic.Value // string
+	body.Store("")
+	mux := http.NewServeMux()
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
+		io.WriteString(w, body.Load().(string))
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	c := newTestCoordinator(t, Config{Replicas: []string{ts.URL}, BusyQueueDepth: 4})
+	rep := c.replicas[0]
+	for _, tc := range []struct {
+		body string
+		want replicaState
+	}{
+		{``, stateUp},
+		{`{"queue_depth":0,"breaker":"closed"}`, stateUp},
+		{`{"queue_depth":0,"breaker":"open"}`, stateDegraded},
+		{`{"queue_depth":0,"breaker":"half-open"}`, stateUp},
+		{`{"queue_depth":4,"breaker":"closed"}`, stateDegraded},
+		{`{"queue_depth":3,"breaker":"closed"}`, stateUp},
+	} {
+		body.Store(tc.body)
+		c.probe(rep)
+		if got := rep.getState(); got != tc.want {
+			t.Errorf("/readyz %q graded %s, want %s", tc.body, got, tc.want)
+		}
+	}
+	if rep.lastQueue.Load() != 3 || rep.breaker.Load() != 0 {
+		t.Errorf("probe gauges queue=%d breaker=%d, want 3/0", rep.lastQueue.Load(), rep.breaker.Load())
 	}
 }

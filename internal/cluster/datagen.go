@@ -186,7 +186,7 @@ func (c *Coordinator) doShardRequest(ctx context.Context, rep *replica, body []b
 		return &shardAttempt{rep: rep, hedged: hedged, corrupt: true, err: err}
 	}
 	rep.markSuccess()
-	// Deliberately no c.lat.observe here: shard labeling is minutes-scale
+	// Deliberately no c.lat.Observe here: shard labeling is minutes-scale
 	// batch work and would blow up the guidance path's adaptive hedge budget.
 	return &shardAttempt{rep: rep, sr: &sr, hedged: hedged}
 }

@@ -1,67 +1,66 @@
 package cluster
 
-import (
-	"math/bits"
-	"sync/atomic"
-	"time"
+import "analogfold/internal/obs"
 
-	"analogfold/internal/obs"
-)
-
-// metrics is the coordinator's own accounting. The load-bearing invariant —
-// chaos-asserted — is accepted == answered + shed: every request that enters
-// handleWork leaves it counted exactly once, no matter which rung answered
-// it or how many replicas died underneath it.
+// metrics is the coordinator's own accounting, held as registry counters so
+// the JSON snapshot and the Prometheus exposition read the same instruments.
+// The load-bearing invariant — chaos-asserted — is accepted == answered +
+// shed: every request that enters handleWork leaves it counted exactly once,
+// no matter which rung answered it or how many replicas died underneath it.
 type metrics struct {
-	accepted atomic.Int64 // requests entering handleWork
-	answered atomic.Int64 // non-503 final statuses (incl. local fallback, 4xx)
-	shed     atomic.Int64 // 503 final statuses, any provenance
+	accepted *obs.Counter // requests entering handleWork
+	answered *obs.Counter // non-503 final statuses (incl. local fallback, 4xx)
+	shed     *obs.Counter // 503 final statuses, any provenance
 
-	proxied       atomic.Int64 // answered by a replica
-	localFallback atomic.Int64 // answered by the embedded nil-model ladder
-	failovers     atomic.Int64 // failover launches across all requests
-	hedges        atomic.Int64 // hedge launches across all requests
-	hedgeWins     atomic.Int64 // requests whose winning attempt was a hedge
+	proxied       *obs.Counter // answered by a replica
+	localFallback *obs.Counter // answered by the embedded nil-model ladder
+	failovers     *obs.Counter // failover launches across all requests
+	hedges        *obs.Counter // hedge launches across all requests
+	hedgeWins     *obs.Counter // requests whose winning attempt was a hedge
 
 	// Distributed dataset generation accounting (datagen.go). The
 	// reconciliation invariant, exact at quiescence, is
 	// dsDispatched == dsCompleted + dsRedispatched: every shard launch is
 	// dispatched, every launch after a shard's first is redispatched, and
 	// every shard completes exactly once.
-	dsJobs         atomic.Int64 // /v1/dataset jobs started
-	dsCompleted    atomic.Int64 // shards completed (verified result accepted)
-	dsDispatched   atomic.Int64 // shard launches (first attempts, failovers, hedges, local)
-	dsRedispatched atomic.Int64 // shard launches after the shard's first
-	dsExpired      atomic.Int64 // leases forfeited by TTL or heartbeat expiry
-	dsCorrupt      atomic.Int64 // replica answers rejected by digest verification
-	dsLocal        atomic.Int64 // shards labeled by the embedded local server
-	dsResumed      atomic.Int64 // shards satisfied from the manifest journal
+	dsJobs         *obs.Counter // /v1/dataset jobs started
+	dsCompleted    *obs.Counter // shards completed (verified result accepted)
+	dsDispatched   *obs.Counter // shard launches (first attempts, failovers, hedges, local)
+	dsRedispatched *obs.Counter // shard launches after the shard's first
+	dsExpired      *obs.Counter // leases forfeited by TTL or heartbeat expiry
+	dsCorrupt      *obs.Counter // replica answers rejected by digest verification
+	dsLocal        *obs.Counter // shards labeled by the embedded local server
+	dsResumed      *obs.Counter // shards satisfied from the manifest journal
 }
 
-// registerCoordinatorMetrics exports the coordinator-level series as
-// scrape-time counter funcs — the coordinator owns the atomics, the registry
-// renders them.
-func (c *Coordinator) registerCoordinatorMetrics(reg *obs.Registry) {
-	export := func(name, help string, v *atomic.Int64) {
-		reg.RegisterCounterFunc(name, func() float64 { return float64(v.Load()) })
+func newMetrics(reg *obs.Registry) metrics {
+	counter := func(name, help string) *obs.Counter {
 		reg.SetHelp(name, help)
+		return reg.Counter(name)
 	}
-	export("cluster_requests_accepted_total", "Requests entering the coordinator proxy path.", &c.met.accepted)
-	export("cluster_requests_answered_total", "Requests answered with a non-shed status.", &c.met.answered)
-	export("cluster_requests_shed_total", "Requests shed with 503 (replica shed or full outage).", &c.met.shed)
-	export("cluster_requests_proxied_total", "Requests answered by a replica.", &c.met.proxied)
-	export("cluster_local_fallback_total", "Requests answered by the embedded local degradation ladder.", &c.met.localFallback)
-	export("cluster_failovers_total", "Failover attempts launched after a retryable outcome.", &c.met.failovers)
-	export("cluster_hedges_total", "Hedged attempts launched after the latency budget.", &c.met.hedges)
-	export("cluster_hedge_wins_total", "Requests whose winning attempt was the hedge.", &c.met.hedgeWins)
-	export("cluster_dataset_jobs_total", "Distributed dataset generation jobs started.", &c.met.dsJobs)
-	export("cluster_dataset_shards_completed_total", "Dataset shards completed with a verified result.", &c.met.dsCompleted)
-	export("cluster_dataset_shards_dispatched_total", "Dataset shard launches (first attempts, failovers, hedges, local fallbacks).", &c.met.dsDispatched)
-	export("cluster_dataset_shards_redispatched_total", "Dataset shard launches after the shard's first.", &c.met.dsRedispatched)
-	export("cluster_dataset_leases_expired_total", "Dataset shard leases forfeited by TTL or heartbeat expiry.", &c.met.dsExpired)
-	export("cluster_dataset_shards_corrupt_total", "Replica shard answers rejected by digest verification.", &c.met.dsCorrupt)
-	export("cluster_dataset_shards_local_total", "Dataset shards labeled by the embedded local server.", &c.met.dsLocal)
-	export("cluster_dataset_shards_resumed_total", "Dataset shards satisfied from the manifest journal.", &c.met.dsResumed)
+	return metrics{
+		accepted:       counter("cluster_requests_accepted_total", "Requests entering the coordinator proxy path."),
+		answered:       counter("cluster_requests_answered_total", "Requests answered with a non-shed status."),
+		shed:           counter("cluster_requests_shed_total", "Requests shed with 503 (replica shed or full outage)."),
+		proxied:        counter("cluster_requests_proxied_total", "Requests answered by a replica."),
+		localFallback:  counter("cluster_local_fallback_total", "Requests answered by the embedded local degradation ladder."),
+		failovers:      counter("cluster_failovers_total", "Failover attempts launched after a retryable outcome."),
+		hedges:         counter("cluster_hedges_total", "Hedged attempts launched after the latency budget."),
+		hedgeWins:      counter("cluster_hedge_wins_total", "Requests whose winning attempt was the hedge."),
+		dsJobs:         counter("cluster_dataset_jobs_total", "Distributed dataset generation jobs started."),
+		dsCompleted:    counter("cluster_dataset_shards_completed_total", "Dataset shards completed with a verified result."),
+		dsDispatched:   counter("cluster_dataset_shards_dispatched_total", "Dataset shard launches (first attempts, failovers, hedges, local fallbacks)."),
+		dsRedispatched: counter("cluster_dataset_shards_redispatched_total", "Dataset shard launches after the shard's first."),
+		dsExpired:      counter("cluster_dataset_leases_expired_total", "Dataset shard leases forfeited by TTL or heartbeat expiry."),
+		dsCorrupt:      counter("cluster_dataset_shards_corrupt_total", "Replica shard answers rejected by digest verification."),
+		dsLocal:        counter("cluster_dataset_shards_local_total", "Dataset shards labeled by the embedded local server."),
+		dsResumed:      counter("cluster_dataset_shards_resumed_total", "Dataset shards satisfied from the manifest journal."),
+	}
+}
+
+// registerGauges exports the scrape-time gauges: replicas graded up and the
+// current hedge budget.
+func (c *Coordinator) registerGauges(reg *obs.Registry) {
 	reg.RegisterGaugeFunc("cluster_replicas_up", func() float64 {
 		n := 0
 		for _, r := range c.replicas {
@@ -81,7 +80,7 @@ func (c *Coordinator) registerCoordinatorMetrics(reg *obs.Registry) {
 // registerReplicaMetrics exports one series family per replica, keyed by the
 // sanitized replica URL so Prometheus label-less names stay valid.
 func (c *Coordinator) registerReplicaMetrics(reg *obs.Registry) {
-	c.registerCoordinatorMetrics(reg)
+	c.registerGauges(reg)
 	for _, r := range c.replicas {
 		r := r
 		base := "cluster_replica_" + obs.SanitizeMetricName(r.url)
@@ -138,24 +137,24 @@ type MetricsSnapshot struct {
 // only exact when quiescent, which is when the chaos suite checks it).
 func (c *Coordinator) MetricsSnapshot() MetricsSnapshot {
 	m := MetricsSnapshot{
-		Accepted:      c.met.accepted.Load(),
-		Answered:      c.met.answered.Load(),
-		Shed:          c.met.shed.Load(),
-		Proxied:       c.met.proxied.Load(),
-		LocalFallback: c.met.localFallback.Load(),
-		Failovers:     c.met.failovers.Load(),
-		Hedges:        c.met.hedges.Load(),
-		HedgeWins:     c.met.hedgeWins.Load(),
+		Accepted:      c.met.accepted.Value(),
+		Answered:      c.met.answered.Value(),
+		Shed:          c.met.shed.Value(),
+		Proxied:       c.met.proxied.Value(),
+		LocalFallback: c.met.localFallback.Value(),
+		Failovers:     c.met.failovers.Value(),
+		Hedges:        c.met.hedges.Value(),
+		HedgeWins:     c.met.hedgeWins.Value(),
 		HedgeBudgetMS: c.hedgeDelay().Milliseconds(),
 	}
-	m.Dataset.Jobs = c.met.dsJobs.Load()
-	m.Dataset.Completed = c.met.dsCompleted.Load()
-	m.Dataset.Dispatched = c.met.dsDispatched.Load()
-	m.Dataset.Redispatched = c.met.dsRedispatched.Load()
-	m.Dataset.Expired = c.met.dsExpired.Load()
-	m.Dataset.Corrupt = c.met.dsCorrupt.Load()
-	m.Dataset.Local = c.met.dsLocal.Load()
-	m.Dataset.Resumed = c.met.dsResumed.Load()
+	m.Dataset.Jobs = c.met.dsJobs.Value()
+	m.Dataset.Completed = c.met.dsCompleted.Value()
+	m.Dataset.Dispatched = c.met.dsDispatched.Value()
+	m.Dataset.Redispatched = c.met.dsRedispatched.Value()
+	m.Dataset.Expired = c.met.dsExpired.Value()
+	m.Dataset.Corrupt = c.met.dsCorrupt.Value()
+	m.Dataset.Local = c.met.dsLocal.Value()
+	m.Dataset.Resumed = c.met.dsResumed.Value()
 	for _, r := range c.replicas {
 		m.Replicas = append(m.Replicas, ReplicaSnapshot{
 			URL:        r.url,
@@ -169,53 +168,4 @@ func (c *Coordinator) MetricsSnapshot() MetricsSnapshot {
 		})
 	}
 	return m
-}
-
-// latHist is the proxy-latency histogram behind the adaptive hedge budget:
-// power-of-two millisecond buckets (the same scale obs histograms use), all
-// atomics, so the hot path never locks.
-type latHist struct {
-	count   atomic.Int64
-	buckets [22]atomic.Int64 // bucket i holds latencies in [2^(i-1), 2^i) ms
-}
-
-func (h *latHist) observe(d time.Duration) {
-	ms := d.Milliseconds()
-	if ms < 0 {
-		ms = 0
-	}
-	i := bits.Len64(uint64(ms))
-	if i >= len(h.buckets) {
-		i = len(h.buckets) - 1
-	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-}
-
-// percentile returns the upper edge of the bucket containing the p-quantile
-// observation — a conservative (rounds-up) budget, which is the right bias
-// for a hedge trigger: hedge a touch late rather than double work early.
-func (h *latHist) percentile(p float64) time.Duration {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	target := int64(p * float64(total))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i := range h.buckets {
-		cum += h.buckets[i].Load()
-		if cum >= target {
-			return time.Duration(int64(1)<<uint(i)) * time.Millisecond
-		}
-	}
-	return time.Duration(int64(1)<<uint(len(h.buckets)-1)) * time.Millisecond
 }

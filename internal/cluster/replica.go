@@ -18,11 +18,11 @@ import (
 type replicaState int32
 
 const (
-	// stateUp: /readyz answered 200 and the last scrape looked healthy.
+	// stateUp: /readyz answered 200 and its body looked healthy.
 	stateUp replicaState = iota
-	// stateDegraded: serving, but its /metrics scrape shows the circuit
-	// breaker open or a deep admission queue — route around it when a better
-	// replica exists, but keep it in the ladder.
+	// stateDegraded: serving, but its /readyz body shows the circuit breaker
+	// open or a deep admission queue — route around it when a better replica
+	// exists, but keep it in the ladder.
 	stateDegraded
 	// stateDown: /readyz refused (draining) or the transport failed
 	// (crashed, unreachable). Skipped until a probe restores it.
@@ -55,8 +55,8 @@ type replica struct {
 	failures  atomic.Int64 // transport errors, timeouts, 5xx
 	hedges    atomic.Int64 // attempts launched as hedges
 	probes    atomic.Int64 // health probes sent
-	lastQueue atomic.Int64 // queue depth from the last /metrics scrape
-	breaker   atomic.Int32 // 0 closed, 1 half-open, 2 open (last scrape)
+	lastQueue atomic.Int64 // queue depth from the last /readyz probe
+	breaker   atomic.Int32 // 0 closed, 1 half-open, 2 open (last probe)
 }
 
 func newReplica(rawURL string) *replica {
@@ -89,7 +89,7 @@ func (r *replica) markSuccess() {
 	}
 }
 
-// breakerGauge maps the scraped breaker state string onto the same 0/1/2
+// breakerGauge maps the probed breaker state string onto the same 0/1/2
 // scale the replica itself exports.
 func breakerGauge(state string) int32 {
 	switch state {
@@ -102,65 +102,51 @@ func breakerGauge(state string) int32 {
 	}
 }
 
-// probe refreshes one replica's health: /readyz decides up vs down, and for
-// live replicas a /metrics scrape grades load (admission queue depth) and
-// model health (breaker state) into the degraded tier.
+// probe refreshes one replica's health from a single /readyz round trip: a
+// refusal (draining) or transport failure grades it down; a 200 grades it up,
+// or degraded when the body reports the circuit breaker open or an admission
+// queue at least BusyQueueDepth deep. A 200 without a readiness body (a stub
+// that answers bare) grades up.
 func (c *Coordinator) probe(r *replica) {
 	r.probes.Add(1)
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
 	defer cancel()
-	if !c.getOK(ctx, r, "/readyz") {
+	ready, ok := c.readyz(ctx, r)
+	if !ok {
 		r.setState(stateDown)
 		return
 	}
 	r.consecFail.Store(0)
+	r.lastQueue.Store(ready.QueueDepth)
+	r.breaker.Store(breakerGauge(ready.Breaker))
 	state := stateUp
-	if snap, ok := c.scrapeMetrics(ctx, r); ok {
-		r.lastQueue.Store(snap.QueueDepth)
-		r.breaker.Store(breakerGauge(snap.Breaker.State))
-		if snap.Breaker.State == "open" || snap.QueueDepth >= c.cfg.BusyQueueDepth {
-			state = stateDegraded
-		}
+	if ready.Breaker == "open" || ready.QueueDepth >= c.cfg.BusyQueueDepth {
+		state = stateDegraded
 	}
 	r.setState(state)
 }
 
-// getOK issues a GET and reports whether it answered 200.
-func (c *Coordinator) getOK(ctx context.Context, r *replica, path string) bool {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.url+path, nil)
+// readyz GETs the replica's /readyz and reports whether it answered 200,
+// with the decoded readiness body.
+func (c *Coordinator) readyz(ctx context.Context, r *replica) (serve.ReadyBody, bool) {
+	var ready serve.ReadyBody
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.url+"/readyz", nil)
 	if err != nil {
-		return false
+		return ready, false
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
-}
-
-// scrapeMetrics fetches the replica's /metrics JSON snapshot — the same wire
-// shape the daemon has always exported — for health grading.
-func (c *Coordinator) scrapeMetrics(ctx context.Context, r *replica) (serve.MetricsSnapshot, bool) {
-	var snap serve.MetricsSnapshot
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.url+"/metrics", nil)
-	if err != nil {
-		return snap, false
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return snap, false
+		return ready, false
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-		return snap, false
+	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+	if err != nil || resp.StatusCode != http.StatusOK {
+		return ready, false
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&snap); err != nil {
-		return snap, false
-	}
-	return snap, true
+	// A body that is absent or not JSON leaves ready zero: readiness alone
+	// grades the replica up.
+	_ = json.Unmarshal(body, &ready)
+	return ready, true
 }
 
 // probeLoop drives one replica's health refresh until the coordinator drains.

@@ -76,6 +76,15 @@ func TestFullPipelineOTA1(t *testing.T) {
 	if ts.ConstructDatabase <= 0 || ts.ModelTraining <= 0 || ts.GuideGeneration <= 0 || ts.GuidedRouting <= 0 {
 		t.Errorf("missing stage times: %+v", ts)
 	}
+	// The ladder bottom (no model) routes inside the guided-routing phase
+	// and never relaxes.
+	bottom, err := f.RunAnalogFoldWarm(context.Background(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bt := bottom.Times; bt.GuidedRouting <= 0 || bt.GuideGeneration != 0 || bottom.Runtime != bt.GuidedRouting {
+		t.Errorf("ladder-bottom stage times: %+v runtime %v", bt, bottom.Runtime)
+	}
 	// Model training dominates the one-time cost (Figure 5's shape).
 	bd := BreakdownOf(ts)
 	if bd.ModelTrainingPct+bd.ConstructDBPct < bd.GuidedRoutingPct {

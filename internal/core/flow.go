@@ -113,16 +113,22 @@ func (o Options) withDefaults() Options {
 // map onto a request latency stage additionally feed the context's
 // StageBreakdown, which is how serving requests attribute relax and route
 // time without the handlers instrumenting core internals.
-func withPhase(ctx context.Context, phase string, fn func(context.Context)) {
+//
+// withPhase is the flow's only stage clock: it returns the phase's elapsed
+// time, and every StageTimes field and Outcome.Runtime is a sum of these
+// returns (scripts/ci.sh rejects any other clock in this package).
+func withPhase(ctx context.Context, phase string, fn func(context.Context)) (elapsed time.Duration) {
 	sctx, span := obs.StartSpan(ctx, phase)
 	start := time.Now()
 	defer func() {
+		elapsed = time.Since(start)
 		if st, ok := phaseStage(phase); ok {
-			obs.StagesFrom(ctx).Add(st, time.Since(start))
+			obs.StagesFrom(ctx).Add(st, elapsed)
 		}
 		span.End()
 	}()
 	pprof.Do(sctx, pprof.Labels("phase", phase), fn)
+	return
 }
 
 // phaseStage maps a Figure-5 phase onto the request-latency stage taxonomy.
@@ -212,13 +218,12 @@ func NewFlow(c *netlist.Circuit, profile place.Profile, opts Options) (*Flow, er
 // the Run* methods). Placement itself does not observe cancellation.
 func NewFlowCtx(ctx context.Context, c *netlist.Circuit, profile place.Profile, opts Options) (*Flow, error) {
 	opts = opts.withDefaults()
-	t0 := time.Now()
 	var (
 		p   *place.Placement
 		g   *grid.Grid
 		err error
 	)
-	withPhase(ctx, "placement", func(context.Context) {
+	placeTime := withPhase(ctx, "placement", func(context.Context) {
 		p, err = place.Place(c, place.Config{
 			Profile: profile, Seed: opts.Seed, Iterations: opts.PlaceIters,
 		})
@@ -232,7 +237,7 @@ func NewFlowCtx(ctx context.Context, c *netlist.Circuit, profile place.Profile, 
 	}
 	return &Flow{
 		Circuit: c, Profile: profile, Opts: opts,
-		Placement: p, Grid: g, placeTime: time.Since(t0),
+		Placement: p, Grid: g, placeTime: placeTime,
 	}, nil
 }
 
@@ -271,12 +276,14 @@ func (f *Flow) RunMagical(ctx context.Context) (*Outcome, error) {
 	}
 	sctx, cancel := f.stageCtx(ctx)
 	defer cancel()
-	t0 := time.Now()
-	res, err := route.RouteCtx(sctx, f.Grid, guidance.Uniform(len(f.Circuit.Nets)), f.Opts.RouteCfg)
+	var res *route.Result
+	var err error
+	rt := withPhase(sctx, "guided-routing", func(pctx context.Context) {
+		res, err = route.RouteCtx(pctx, f.Grid, guidance.Uniform(len(f.Circuit.Nets)), f.Opts.RouteCfg)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("core: magical: %w", err)
 	}
-	rt := time.Since(t0)
 	m, err := f.evaluateRouted(res)
 	if err != nil {
 		return nil, err
@@ -288,54 +295,63 @@ func (f *Flow) RunMagical(ctx context.Context) (*Outcome, error) {
 	}, nil
 }
 
-// geniusTiming carries the GeniusRoute stage times alongside its guidance.
-type geniusTiming struct {
-	corpus, train, inference time.Duration
-}
-
 // geniusGuidanceTimed builds the GeniusRoute imitation guidance: a VAE
 // trained on routed sibling placements (substitute for the original's
 // manual-layout corpus; see package vae) decodes a 2D wire-density map that
-// is converted to per-net guidance.
-func (f *Flow) geniusGuidanceTimed(ctx context.Context) (guidance.Set, geniusTiming, error) {
+// is converted to per-net guidance. The returned StageTimes carries the
+// corpus, training and inference phases.
+func (f *Flow) geniusGuidanceTimed(ctx context.Context) (guidance.Set, StageTimes, error) {
 	o := f.Opts
-	var tm geniusTiming
+	var st StageTimes
 	var pairs []vae.Pair
-	tCorpus := time.Now()
+	var err error
+	st.ConstructDatabase = withPhase(ctx, "construct-database", func(pctx context.Context) {
+		pairs, err = f.geniusCorpus(pctx)
+	})
+	if err != nil {
+		return guidance.Set{}, st, err
+	}
+
+	model := vae.New(8, o.Seed)
+	st.ModelTraining = withPhase(ctx, "train-vae", func(context.Context) {
+		_, err = model.Fit(pairs, vae.TrainConfig{Epochs: o.VAEEpochs, Seed: o.Seed})
+	})
+	if err != nil {
+		return guidance.Set{}, st, fmt.Errorf("core: genius: %w", err)
+	}
+
+	var gd guidance.Set
+	st.GuideGeneration = withPhase(ctx, "vae-inference", func(context.Context) {
+		gd = model.GuidanceFromMap(f.Grid, model.PredictMap(f.Grid))
+	})
+	return gd, st, nil
+}
+
+// geniusCorpus routes the sibling placements the GeniusRoute VAE imitates.
+func (f *Flow) geniusCorpus(ctx context.Context) ([]vae.Pair, error) {
+	o := f.Opts
+	var pairs []vae.Pair
 	for k := 0; k < o.VAECorpus; k++ {
 		if err := ctx.Err(); err != nil {
-			return guidance.Set{}, tm, fault.FromContext(fault.StageGuidance, err)
+			return nil, fault.FromContext(fault.StageGuidance, err)
 		}
 		p, err := place.Place(f.Circuit, place.Config{
 			Profile: f.Profile, Seed: o.Seed + int64(100+k), Iterations: o.PlaceIters / 2,
 		})
 		if err != nil {
-			return guidance.Set{}, tm, fmt.Errorf("core: genius corpus: %w", err)
+			return nil, fmt.Errorf("core: genius corpus: %w", err)
 		}
 		g, err := grid.Build(p, tech.Sim40())
 		if err != nil {
-			return guidance.Set{}, tm, fmt.Errorf("core: genius corpus: %w", err)
+			return nil, fmt.Errorf("core: genius corpus: %w", err)
 		}
 		res, err := route.RouteCtx(ctx, g, guidance.Uniform(len(f.Circuit.Nets)), o.RouteCfg)
 		if err != nil {
-			return guidance.Set{}, tm, fmt.Errorf("core: genius corpus: %w", err)
+			return nil, fmt.Errorf("core: genius corpus: %w", err)
 		}
 		pairs = append(pairs, vae.Pair{Pins: vae.RasterizePins(g), Wires: vae.RasterizeWires(g, res)})
 	}
-	tm.corpus = time.Since(tCorpus)
-
-	tTrain := time.Now()
-	model := vae.New(8, o.Seed)
-	if _, err := model.Fit(pairs, vae.TrainConfig{Epochs: o.VAEEpochs, Seed: o.Seed}); err != nil {
-		return guidance.Set{}, tm, fmt.Errorf("core: genius: %w", err)
-	}
-	tm.train = time.Since(tTrain)
-
-	tInf := time.Now()
-	wireMap := model.PredictMap(f.Grid)
-	gd := model.GuidanceFromMap(f.Grid, wireMap)
-	tm.inference = time.Since(tInf)
-	return gd, tm, nil
+	return pairs, nil
 }
 
 // geniusGuidance is the timing-free convenience used by visualization.
@@ -352,23 +368,23 @@ func (f *Flow) RunGenius(ctx context.Context) (*Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	o := f.Opts
 	gctx, gcancel := f.stageCtx(ctx)
-	gd, tm, err := f.geniusGuidanceTimed(gctx)
+	gd, st, err := f.geniusGuidanceTimed(gctx)
 	gcancel()
 	if err != nil {
 		return nil, err
 	}
-	corpusTime, trainTime, infTime := tm.corpus, tm.train, tm.inference
 
 	rctx, rcancel := f.stageCtx(ctx)
 	defer rcancel()
-	tRoute := time.Now()
-	res, err := route.RouteCtx(rctx, f.Grid, gd, o.RouteCfg)
+	var res *route.Result
+	st.GuidedRouting = withPhase(rctx, "guided-routing", func(pctx context.Context) {
+		res, err = route.RouteCtx(pctx, f.Grid, gd, f.Opts.RouteCfg)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("core: genius route: %w", err)
 	}
-	routeTime := time.Since(tRoute)
+	st.Placement = f.placeTime
 
 	m, err := f.evaluateRouted(res)
 	if err != nil {
@@ -376,14 +392,8 @@ func (f *Flow) RunGenius(ctx context.Context) (*Outcome, error) {
 	}
 	return &Outcome{
 		Method: MethodGenius, Metrics: m,
-		Runtime: infTime + routeTime,
-		Times: StageTimes{
-			Placement:         f.placeTime,
-			ConstructDatabase: corpusTime,
-			ModelTraining:     trainTime,
-			GuideGeneration:   infTime,
-			GuidedRouting:     routeTime,
-		},
+		Runtime:      st.GuideGeneration + st.GuidedRouting,
+		Times:        st,
 		WirelengthNm: res.WirelengthNm, Vias: res.Vias,
 	}, nil
 }
@@ -405,13 +415,13 @@ func (f *Flow) RunAnalogFold(ctx context.Context) (*Outcome, error) {
 	report := &DegradationReport{FinalRung: RungElite}
 
 	// Construct database: guidance-labeled routing samples.
-	tDB := time.Now()
 	var ds *dataset.Dataset
+	var dbTime time.Duration
 	var err error
 	func() {
 		sctx, cancel := f.stageCtx(ctx)
 		defer cancel()
-		withPhase(sctx, "construct-database", func(pctx context.Context) {
+		dbTime = withPhase(sctx, "construct-database", func(pctx context.Context) {
 			ds, err = dataset.Generate(pctx, f.Grid, dataset.Config{
 				Samples: o.Samples, Workers: o.Workers, Seed: o.Seed,
 				RouteCfg: o.RouteCfg, IncludeUniform: true,
@@ -425,54 +435,49 @@ func (f *Flow) RunAnalogFold(ctx context.Context) (*Outcome, error) {
 		report.record(fault.StageDatabase, err, "database construction failed; skipping learning stack")
 		ds = nil
 	}
-	dbTime := time.Since(tDB)
 
 	// Heterogeneous graph + model training. A diverged or failed fit drops
 	// the model: the flow continues to the unguided rung rather than aborting.
-	tTrain := time.Now()
 	var hg *hetgraph.Graph
 	var model *gnn3d.Model
+	var trainTime time.Duration
 	if ds != nil {
-		hg, err = hetgraph.Build(f.Grid, hetgraph.Config{})
-		if err != nil {
-			report.record(fault.StageTraining, err, "heterogeneous graph construction failed")
-		} else {
-			gcfg := o.GNN
-			gcfg.Seed = o.Seed
-			model = gnn3d.New(gcfg)
-			func() {
-				sctx, cancel := f.stageCtx(ctx)
-				defer cancel()
-				withPhase(sctx, "train-3dgnn", func(pctx context.Context) {
-					_, err = model.Fit(pctx, hg, ds.Samples(), gnn3d.TrainConfig{
-						Epochs: o.TrainEpochs, Seed: o.Seed,
-						BatchSize: o.TrainBatch, Workers: o.Workers,
-					})
-				})
-			}()
-			if err != nil {
-				if terminalFault(err) {
-					return nil, fmt.Errorf("core: analogfold: %w", err)
+		var herr error
+		func() {
+			sctx, cancel := f.stageCtx(ctx)
+			defer cancel()
+			trainTime = withPhase(sctx, "train-3dgnn", func(pctx context.Context) {
+				if hg, herr = hetgraph.Build(f.Grid, hetgraph.Config{}); herr != nil {
+					return
 				}
-				report.record(fault.StageTraining, err, "3DGNN training failed; dropping model")
-				model = nil
+				gcfg := o.GNN
+				gcfg.Seed = o.Seed
+				model = gnn3d.New(gcfg)
+				_, err = model.Fit(pctx, hg, ds.Samples(), gnn3d.TrainConfig{
+					Epochs: o.TrainEpochs, Seed: o.Seed,
+					BatchSize: o.TrainBatch, Workers: o.Workers,
+				})
+			})
+		}()
+		switch {
+		case herr != nil:
+			report.record(fault.StageTraining, herr, "heterogeneous graph construction failed")
+		case err != nil:
+			if terminalFault(err) {
+				return nil, fmt.Errorf("core: analogfold: %w", err)
 			}
+			report.record(fault.StageTraining, err, "3DGNN training failed; dropping model")
+			model = nil
 		}
 	}
-	trainTime := time.Since(tTrain)
 
-	best, relaxTime, routeTime, err := f.relaxAndRoute(ctx, model, hg, report)
+	best, times, err := f.relaxAndRoute(ctx, model, hg, report)
 	if err != nil {
 		return nil, err
 	}
-	best.Runtime = relaxTime + routeTime
-	best.Times = StageTimes{
-		Placement:         f.placeTime,
-		ConstructDatabase: dbTime,
-		ModelTraining:     trainTime,
-		GuideGeneration:   relaxTime,
-		GuidedRouting:     routeTime,
-	}
+	times.ConstructDatabase = dbTime
+	times.ModelTraining = trainTime
+	best.Times = times
 	best.Degradation = report
 	return best, nil
 }
@@ -482,19 +487,21 @@ func (f *Flow) RunAnalogFold(ctx context.Context) (*Outcome, error) {
 // It is shared by the cold path (RunAnalogFold, which just trained model) and
 // the warm serving path (RunAnalogFoldWarm, which reuses a loaded checkpoint
 // across requests). All routing and evaluation happens on per-call cloned
-// grids, so concurrent callers may share one Flow and one Model.
-func (f *Flow) relaxAndRoute(ctx context.Context, model *gnn3d.Model, hg *hetgraph.Graph, report *DegradationReport) (*Outcome, time.Duration, time.Duration, error) {
+// grids, so concurrent callers may share one Flow and one Model. The
+// returned Outcome carries Runtime; the StageTimes fill Placement,
+// GuideGeneration and GuidedRouting.
+func (f *Flow) relaxAndRoute(ctx context.Context, model *gnn3d.Model, hg *hetgraph.Graph, report *DegradationReport) (*Outcome, StageTimes, error) {
 	o := f.Opts
+	times := StageTimes{Placement: f.placeTime}
 	var err error
 
 	// Guidance generation: potential relaxation over the trained model.
-	tRelax := time.Now()
 	var rres *relax.Result
 	if model != nil {
 		func() {
 			sctx, cancel := f.stageCtx(ctx)
 			defer cancel()
-			withPhase(sctx, "relaxation", func(pctx context.Context) {
+			times.GuideGeneration = withPhase(sctx, "relaxation", func(pctx context.Context) {
 				rres, err = relax.Optimize(pctx, model, hg, relax.Config{
 					Restarts: o.RelaxRestarts, NDerive: o.NDerive, Seed: o.Seed,
 					MaxIter: 25, Workers: o.Workers,
@@ -503,7 +510,7 @@ func (f *Flow) relaxAndRoute(ctx context.Context, model *gnn3d.Model, hg *hetgra
 		}()
 		if err != nil {
 			if terminalFault(err) {
-				return nil, 0, 0, fmt.Errorf("core: analogfold: %w", err)
+				return nil, times, fmt.Errorf("core: analogfold: %w", err)
 			}
 			report.record(fault.StageRelaxation, err, "relaxation failed; falling back to uniform guidance")
 			rres = nil
@@ -512,16 +519,29 @@ func (f *Flow) relaxAndRoute(ctx context.Context, model *gnn3d.Model, hg *hetgra
 			report.RelaxDropped = rres.Dropped
 		}
 	}
-	relaxTime := time.Since(tRelax)
 
-	// Guided routing: route every derived guidance set concurrently on a
-	// cloned grid and keep the best measured FoM (the model's normalization
-	// makes the FoM scale-free). Per-candidate failures step down the ladder
-	// — next elite, then uniform guidance — and the winner is chosen scanning
-	// in guidance order so ties resolve the same way for any worker count.
-	tRoute := time.Now()
+	// Guided routing, every rung of the ladder inside one phase.
 	sctx, cancel := f.stageCtx(ctx)
 	defer cancel()
+	var best *Outcome
+	times.GuidedRouting = withPhase(sctx, "guided-routing", func(pctx context.Context) {
+		best, err = f.routeLadder(pctx, model, rres, report)
+	})
+	if err != nil {
+		return nil, times, err
+	}
+	best.Runtime = times.GuideGeneration + times.GuidedRouting
+	return best, times, nil
+}
+
+// routeLadder routes every derived guidance set concurrently on a cloned
+// grid and keeps the best measured FoM (the model's normalization makes the
+// FoM scale-free). Per-candidate failures step down the ladder — next elite,
+// then uniform guidance — and the winner is chosen scanning in guidance order
+// so ties resolve the same way for any worker count. rres is nil when there
+// is no guidance to route.
+func (f *Flow) routeLadder(ctx context.Context, model *gnn3d.Model, rres *relax.Result, report *DegradationReport) (*Outcome, error) {
+	o := f.Opts
 	type candidate struct {
 		ok           bool
 		err          error
@@ -532,29 +552,26 @@ func (f *Flow) relaxAndRoute(ctx context.Context, model *gnn3d.Model, hg *hetgra
 	}
 	var best *Outcome
 	if rres != nil {
-		var cands []candidate
-		withPhase(sctx, "guided-routing", func(pctx context.Context) {
-			cands, err = parallel.Map(pctx, o.Workers, len(rres.Guides), func(i int) (candidate, error) {
-				g := f.Grid.Clone()
-				res, rerr := route.RouteCtx(pctx, g, rres.Guides[i], o.RouteCfg)
-				if rerr != nil {
-					if terminalFault(rerr) {
-						return candidate{}, rerr
-					}
-					return candidate{err: rerr}, nil
+		cands, err := parallel.Map(ctx, o.Workers, len(rres.Guides), func(i int) (candidate, error) {
+			g := f.Grid.Clone()
+			res, rerr := route.RouteCtx(ctx, g, rres.Guides[i], o.RouteCfg)
+			if rerr != nil {
+				if terminalFault(rerr) {
+					return candidate{}, rerr
 				}
-				m, merr := f.evaluateRoutedOn(g, res)
-				if merr != nil {
-					return candidate{err: merr}, nil
-				}
-				return candidate{
-					ok: true, metrics: m, fom: scalarFoM(model, m),
-					wirelengthNm: res.WirelengthNm, vias: res.Vias,
-				}, nil
-			})
+				return candidate{err: rerr}, nil
+			}
+			m, merr := f.evaluateRoutedOn(g, res)
+			if merr != nil {
+				return candidate{err: merr}, nil
+			}
+			return candidate{
+				ok: true, metrics: m, fom: scalarFoM(model, m),
+				wirelengthNm: res.WirelengthNm, vias: res.Vias,
+			}, nil
 		})
 		if err != nil {
-			return nil, 0, 0, fmt.Errorf("core: analogfold: %w", err)
+			return nil, fmt.Errorf("core: analogfold: %w", err)
 		}
 		report.CandidatesTried = len(cands)
 		var bestFoM float64
@@ -575,42 +592,41 @@ func (f *Flow) relaxAndRoute(ctx context.Context, model *gnn3d.Model, hg *hetgra
 			}
 		}
 	}
+	if best != nil {
+		return best, nil
+	}
 
 	// Ladder bottom: no elite routed (or no guidance at all). Route with
 	// uniform guidance — with a trained model this is the "uniform" rung;
 	// with the learning stack gone it is exactly the MagicalRoute baseline.
-	if best == nil {
-		rung := RungMagical
-		if model != nil {
-			rung = RungUniform
-			report.record(fault.StageRouting, nil, "no elite candidate routed; degrading to uniform guidance")
-		} else {
-			report.record(fault.StageRouting, nil, "learning stack unavailable; degrading to MagicalRoute baseline")
-		}
-		g := f.Grid.Clone()
-		res, rerr := route.RouteCtx(sctx, g, guidance.Uniform(len(f.Circuit.Nets)), o.RouteCfg)
-		if rerr != nil {
-			// The unguided baseline is the last rung; its failure is the
-			// flow's failure, typed and attributed.
-			if terminalFault(rerr) {
-				return nil, 0, 0, fmt.Errorf("core: analogfold: %w", rerr)
-			}
-			return nil, 0, 0, fault.Wrap(fault.StageRouting, fault.ErrRouteFailed, rerr,
-				"core: analogfold: degradation ladder exhausted")
-		}
-		m, merr := f.evaluateRoutedOn(g, res)
-		if merr != nil {
-			return nil, 0, 0, fault.Wrap(fault.StageEvaluation, fault.ErrRouteFailed, merr,
-				"core: analogfold: fallback evaluation failed")
-		}
-		report.FinalRung = rung
-		best = &Outcome{
-			Method: MethodAnalogFold, Metrics: m,
-			WirelengthNm: res.WirelengthNm, Vias: res.Vias,
-		}
+	rung := RungMagical
+	if model != nil {
+		rung = RungUniform
+		report.record(fault.StageRouting, nil, "no elite candidate routed; degrading to uniform guidance")
+	} else {
+		report.record(fault.StageRouting, nil, "learning stack unavailable; degrading to MagicalRoute baseline")
 	}
-	routeTime := time.Since(tRoute)
-	return best, relaxTime, routeTime, nil
+	g := f.Grid.Clone()
+	res, rerr := route.RouteCtx(ctx, g, guidance.Uniform(len(f.Circuit.Nets)), o.RouteCfg)
+	if rerr != nil {
+		// The unguided baseline is the last rung; its failure is the
+		// flow's failure, typed and attributed.
+		if terminalFault(rerr) {
+			return nil, fmt.Errorf("core: analogfold: %w", rerr)
+		}
+		return nil, fault.Wrap(fault.StageRouting, fault.ErrRouteFailed, rerr,
+			"core: analogfold: degradation ladder exhausted")
+	}
+	m, merr := f.evaluateRoutedOn(g, res)
+	if merr != nil {
+		return nil, fault.Wrap(fault.StageEvaluation, fault.ErrRouteFailed, merr,
+			"core: analogfold: fallback evaluation failed")
+	}
+	report.FinalRung = rung
+	return &Outcome{
+		Method: MethodAnalogFold, Metrics: m,
+		WirelengthNm: res.WirelengthNm, Vias: res.Vias,
+	}, nil
 }
 
 // scalarFoM folds the five metrics into one lower-is-better scalar using the

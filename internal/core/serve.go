@@ -43,16 +43,11 @@ func (f *Flow) RunAnalogFoldWarm(ctx context.Context, model *gnn3d.Model, hg *he
 		}
 	}
 	report := &DegradationReport{FinalRung: RungElite}
-	best, relaxTime, routeTime, err := f.relaxAndRoute(ctx, model, hg, report)
+	best, times, err := f.relaxAndRoute(ctx, model, hg, report)
 	if err != nil {
 		return nil, err
 	}
-	best.Runtime = relaxTime + routeTime
-	best.Times = StageTimes{
-		Placement:       f.placeTime,
-		GuideGeneration: relaxTime,
-		GuidedRouting:   routeTime,
-	}
+	best.Times = times
 	best.Degradation = report
 	return best, nil
 }

@@ -28,14 +28,6 @@ type Parasitics struct {
 	Coupling map[[2]int]float64
 }
 
-// CouplingBetween returns the coupling capacitance between two nets.
-func (p *Parasitics) CouplingBetween(a, b int) float64 {
-	if a > b {
-		a, b = b, a
-	}
-	return p.Coupling[[2]int{a, b}]
-}
-
 // SortedCouplingKeys returns the coupling keys in deterministic order, so
 // downstream floating-point accumulations are reproducible run to run.
 func (p *Parasitics) SortedCouplingKeys() [][2]int {

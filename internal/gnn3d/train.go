@@ -70,14 +70,6 @@ type TrainReport struct {
 	ValLoss   []float64
 }
 
-// FinalTrain returns the last training loss.
-func (r *TrainReport) FinalTrain() float64 {
-	if len(r.TrainLoss) == 0 {
-		return math.NaN()
-	}
-	return r.TrainLoss[len(r.TrainLoss)-1]
-}
-
 // FinalVal returns the last validation loss.
 func (r *TrainReport) FinalVal() float64 {
 	if len(r.ValLoss) == 0 {

@@ -155,33 +155,6 @@ func (m *Map) walk(a, b [2]int, visit func(hor bool, x, y int)) {
 	}
 }
 
-// TotalDemand sums demand over all edges.
-func (m *Map) TotalDemand() float64 {
-	t := 0.0
-	for y := 0; y < m.NY; y++ {
-		for x := 0; x < m.NX; x++ {
-			t += m.HDemand[y][x] + m.VDemand[y][x]
-		}
-	}
-	return t
-}
-
-// Overflow counts edges whose demand exceeds capacity.
-func (m *Map) Overflow() int {
-	n := 0
-	for y := 0; y < m.NY; y++ {
-		for x := 0; x < m.NX; x++ {
-			if m.HDemand[y][x] > m.Capacity {
-				n++
-			}
-			if m.VDemand[y][x] > m.Capacity {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // CongestionAt returns the normalized congestion (max incident edge demand /
 // capacity) of the GCell containing detailed cell (cx, cy).
 func (m *Map) CongestionAt(cx, cy int) float64 {

@@ -108,16 +108,3 @@ func (s Set) Validate() error {
 	}
 	return nil
 }
-
-// Perturb returns a copy with zero-mean Gaussian noise of the given sigma
-// added and clamped back into the feasible region — the noisy-restart
-// operation of the pool-assisted relaxation.
-func (s Set) Perturb(rng *rand.Rand, sigma float64) Set {
-	out := s.Clone()
-	for i := range out.PerNet {
-		for d := 0; d < 3; d++ {
-			out.PerNet[i][d] += rng.NormFloat64() * sigma
-		}
-	}
-	return out.Clamp(0.02)
-}

@@ -3,7 +3,6 @@ package guidance
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestUniform(t *testing.T) {
@@ -74,37 +73,5 @@ func TestCloneIndependent(t *testing.T) {
 	c.PerNet[0][0] = 0.5
 	if s.PerNet[0][0] != 1 {
 		t.Errorf("Clone must deep-copy")
-	}
-}
-
-func TestPerturbStaysFeasible(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		s := Sample(4, r, 2)
-		p := s.Perturb(rng, 0.5)
-		return p.Validate() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPerturbChangesValues(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	s := Uniform(3)
-	p := s.Perturb(rng, 0.3)
-	same := true
-	for i := range s.PerNet {
-		if p.PerNet[i] != s.PerNet[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Errorf("Perturb changed nothing")
-	}
-	// Original untouched.
-	if s.PerNet[0] != (Vec{1, 1, 1}) {
-		t.Errorf("Perturb mutated the receiver")
 	}
 }

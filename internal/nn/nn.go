@@ -120,12 +120,3 @@ func (m *MLP) Params() []*ad.Var {
 	}
 	return ps
 }
-
-// CountParams returns the number of scalar parameters in the vars.
-func CountParams(vars []*ad.Var) int {
-	n := 0
-	for _, v := range vars {
-		n += v.Value.Len()
-	}
-	return n
-}

@@ -34,8 +34,12 @@ func TestMLPWidths(t *testing.T) {
 	if y.Value.Shape[1] != 3 {
 		t.Errorf("output width %d", y.Value.Shape[1])
 	}
-	if CountParams(m.Params()) != 5*16+16+16*16+16+16*3+3 {
-		t.Errorf("CountParams = %d", CountParams(m.Params()))
+	n := 0
+	for _, v := range m.Params() {
+		n += v.Value.Len()
+	}
+	if n != 5*16+16+16*16+16+16*3+3 {
+		t.Errorf("parameter count = %d", n)
 	}
 }
 

@@ -114,6 +114,33 @@ func (h *Histogram) ObserveExemplar(d time.Duration, id string) {
 	h.exMu.Unlock()
 }
 
+// Count returns the number of observations.
+func (h *Histogram) Count() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.count.Load()
+}
+
+// QuantileEdge returns the upper edge of the bucket holding the p-quantile
+// observation: the first bucket whose cumulative count reaches ⌊p·n⌋ (at
+// least 1). The edge rounds up, so a budget derived from it errs late; the
+// overflow bucket reports 2^(HistBuckets-1) ms. Zero with no observations.
+func (h *Histogram) QuantileEdge(p float64) time.Duration {
+	n := h.Count()
+	if n == 0 {
+		return 0
+	}
+	p = min(max(p, 0), 1)
+	target := max(int64(p*float64(n)), 1)
+	k, cum := 0, h.buckets[0].Load()
+	for k < HistBuckets-1 && cum < target {
+		k++
+		cum += h.buckets[k].Load()
+	}
+	return time.Duration(int64(1)<<k) * time.Millisecond
+}
+
 // HistView is the JSON rendering of one histogram — the /metrics wire shape
 // dashboards key on ("le_<2^k>ms" → count, "inf" for the overflow bucket).
 // SlowestID/SlowestMS carry the slowest exemplar when one was captured.

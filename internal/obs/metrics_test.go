@@ -1,12 +1,72 @@
 package obs
 
 import (
+	"math/bits"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 )
+
+// TestHistogramQuantileEdge pins QuantileEdge to the power-of-two bucket
+// rule behind the coordinator's hedge budget: a latency of ms milliseconds
+// reports the edge 2^bits.Len64(ms) ms, for every ms below the overflow
+// bucket (2^19 ms included).
+func TestHistogramQuantileEdge(t *testing.T) {
+	ms := []int64{0}
+	for k := 0; k < HistBuckets-1; k++ {
+		if k >= 2 {
+			ms = append(ms, 1<<k-1)
+		}
+		ms = append(ms, 1<<k)
+	}
+	for _, m := range ms {
+		var h Histogram
+		h.Observe(time.Duration(m) * time.Millisecond)
+		want := time.Duration(int64(1)<<bits.Len64(uint64(m))) * time.Millisecond
+		if got := h.QuantileEdge(0.95); got != want {
+			t.Errorf("%d ms: edge %v, want %v", m, got, want)
+		}
+	}
+}
+
+// TestHistogramQuantileTarget pins the quantile's target rule: the target is
+// ⌊p·n⌋, at least 1, and the first bucket whose cumulative count reaches it
+// wins.
+func TestHistogramQuantileTarget(t *testing.T) {
+	var h Histogram
+	if h.Count() != 0 || h.QuantileEdge(0.5) != 0 {
+		t.Fatalf("empty histogram: count %d edge %v", h.Count(), h.QuantileEdge(0.5))
+	}
+	for i := 0; i < 9; i++ {
+		h.Observe(0) // le_1ms
+	}
+	h.Observe(100 * time.Millisecond) // le_128ms
+	if h.Count() != 10 {
+		t.Fatalf("count %d, want 10", h.Count())
+	}
+	for _, tc := range []struct {
+		p    float64
+		want time.Duration
+	}{
+		{-1, time.Millisecond},   // clamped to 0: target floors up to 1
+		{0, time.Millisecond},    // target 1
+		{0.95, time.Millisecond}, // target ⌊9.5⌋ = 9, reached by bucket 0
+		{0.99, time.Millisecond}, // target ⌊9.9⌋ = 9
+		{1, 128 * time.Millisecond},
+		{2, 128 * time.Millisecond}, // clamped to 1
+	} {
+		if got := h.QuantileEdge(tc.p); got != tc.want {
+			t.Errorf("p=%v: edge %v, want %v", tc.p, got, tc.want)
+		}
+	}
+	var over Histogram
+	over.Observe(time.Hour)
+	if got, want := over.QuantileEdge(0.5), time.Duration(1<<(HistBuckets-1))*time.Millisecond; got != want {
+		t.Errorf("overflow edge %v, want %v", got, want)
+	}
+}
 
 func TestHistogramView(t *testing.T) {
 	var h Histogram

@@ -1,6 +1,6 @@
-// Package optim provides the optimizers used by the reproduction: SGD with
-// momentum and Adam for 3DGNN training, plus the L-BFGS routine the paper's
-// potential relaxation uses (Section 4.3).
+// Package optim provides the optimizers used by the reproduction: Adam for
+// 3DGNN training, plus the L-BFGS routine the paper's potential relaxation
+// uses (Section 4.3).
 package optim
 
 import (
@@ -14,41 +14,6 @@ type Optimizer interface {
 	Step()
 	ZeroGrad()
 }
-
-// SGD is stochastic gradient descent with classical momentum.
-type SGD struct {
-	Params []*ad.Var
-	LR     float64
-	Mom    float64
-
-	vel [][]float64
-}
-
-// NewSGD creates an SGD optimizer.
-func NewSGD(params []*ad.Var, lr, momentum float64) *SGD {
-	s := &SGD{Params: params, LR: lr, Mom: momentum, vel: make([][]float64, len(params))}
-	for i, p := range params {
-		s.vel[i] = make([]float64, p.Value.Len())
-	}
-	return s
-}
-
-// Step applies one update.
-func (s *SGD) Step() {
-	for i, p := range s.Params {
-		if !p.GradLive() {
-			continue
-		}
-		v := s.vel[i]
-		for j := range p.Value.Data {
-			v[j] = s.Mom*v[j] + p.Grad.Data[j]
-			p.Value.Data[j] -= s.LR * v[j]
-		}
-	}
-}
-
-// ZeroGrad clears gradients.
-func (s *SGD) ZeroGrad() { ad.ZeroGrad(s.Params...) }
 
 // Adam implements the Adam optimizer, with optional decoupled weight decay
 // (AdamW) for regularization.

@@ -8,26 +8,6 @@ import (
 	"analogfold/internal/tensor"
 )
 
-func TestSGDQuadratic(t *testing.T) {
-	// Minimize f(x) = sum((x - 3)^2).
-	x := ad.Leaf(tensor.FromSlice([]float64{0, 10, -5}, 1, 3), true)
-	target := ad.Const(tensor.FromSlice([]float64{3, 3, 3}, 1, 3))
-	opt := NewSGD([]*ad.Var{x}, 0.1, 0.5)
-	for i := 0; i < 200; i++ {
-		opt.ZeroGrad()
-		loss := ad.Sum(ad.Square(ad.Sub(x, target)))
-		if err := ad.Backward(loss); err != nil {
-			t.Fatal(err)
-		}
-		opt.Step()
-	}
-	for i, v := range x.Value.Data {
-		if math.Abs(v-3) > 1e-3 {
-			t.Errorf("x[%d] = %g, want 3", i, v)
-		}
-	}
-}
-
 func TestAdamQuadratic(t *testing.T) {
 	x := ad.Leaf(tensor.FromSlice([]float64{-4, 8}, 1, 2), true)
 	target := ad.Const(tensor.FromSlice([]float64{1, -2}, 1, 2))

@@ -107,7 +107,7 @@ func (b *breaker) abortProbe() {
 	}
 }
 
-// snapshot returns the state for /metrics.
+// snapshot returns the state for /metrics and /readyz.
 func (b *breaker) snapshot() (state string, consecutive int, trips int64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -17,7 +17,6 @@ type metrics struct {
 	queueWait *obs.Histogram
 	guidance  *obs.Histogram
 	route     *obs.Histogram
-	relax     *obs.Histogram
 
 	// Micro-batching instruments: one wave == one shared PredictBatch call
 	// (the serving-throughput bench pins waves against the relax-side
@@ -46,7 +45,6 @@ func newMetrics(reg *obs.Registry) metrics {
 	reg.SetHelp("analogfold_serve_queue_wait_seconds", "admission wait of admitted requests")
 	reg.SetHelp("analogfold_serve_guidance_seconds", "/v1/guidance handler time after admission")
 	reg.SetHelp("analogfold_serve_route_seconds", "/v1/route handler time after admission")
-	reg.SetHelp("analogfold_serve_relax_seconds", "guide-generation stage time inside /v1/route")
 	reg.SetHelp("analogfold_serve_batch_waves_total", "guidance micro-batch waves scored (one PredictBatch call each)")
 	reg.SetHelp("analogfold_serve_batch_candidates_total", "candidate guidance sets scored through batched waves")
 	reg.SetHelp("analogfold_serve_batch_size", "members per scored wave (le_Nms bucket == N members, mean_ms == mean size)")
@@ -60,7 +58,6 @@ func newMetrics(reg *obs.Registry) metrics {
 		queueWait:       reg.Histogram("analogfold_serve_queue_wait_seconds"),
 		guidance:        reg.Histogram("analogfold_serve_guidance_seconds"),
 		route:           reg.Histogram("analogfold_serve_route_seconds"),
-		relax:           reg.Histogram("analogfold_serve_relax_seconds"),
 		batchWaves:      reg.Counter("analogfold_serve_batch_waves_total"),
 		batchCandidates: reg.Counter("analogfold_serve_batch_candidates_total"),
 		batchSize:       reg.Histogram("analogfold_serve_batch_size"),
@@ -222,7 +219,6 @@ func (s *Server) metricsSnapshot() MetricsSnapshot {
 		"queue_wait":    s.met.queueWait.View(),
 		"guidance":      s.met.guidance.View(),
 		"route":         s.met.route.View(),
-		"relax":         s.met.relax.View(),
 		"dataset_shard": s.met.shard.View(),
 	}
 	m.Stages = s.met.stages.Views()

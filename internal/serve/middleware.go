@@ -135,35 +135,22 @@ func (s *Server) withRecovery(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// logCtx writes one structured record through the configured slog.Logger (or
-// the legacy printf hook), attaching the context's request ID so log lines
-// from a proxied request correlate with coordinator-side records.
+// logCtx writes one structured record through the configured slog.Logger,
+// attaching the context's request ID so log lines from a proxied request
+// correlate with coordinator-side records.
 func (s *Server) logCtx(ctx context.Context, msg string, kv ...any) {
-	rid := obs.RequestID(ctx)
-	if s.cfg.Logger != nil {
-		if rid != "" {
-			kv = append(kv, "request_id", rid)
-		}
-		s.cfg.Logger.Info(msg, kv...)
+	if s.cfg.Logger == nil {
 		return
 	}
-	if s.cfg.Logf != nil {
-		if rid != "" {
-			s.cfg.Logf("%s [request_id %s]", msg, rid)
-		} else {
-			s.cfg.Logf("%s", msg)
-		}
+	if rid := obs.RequestID(ctx); rid != "" {
+		kv = append(kv, "request_id", rid)
 	}
+	s.cfg.Logger.Info(msg, kv...)
 }
 
-// logf writes to the server's logger when one is configured. A structured
-// Logger takes precedence over the legacy printf hook.
+// logf writes to the server's logger when one is configured.
 func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logger != nil {
 		s.cfg.Logger.Info(fmt.Sprintf(format, args...))
-		return
-	}
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
 	}
 }

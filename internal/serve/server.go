@@ -59,10 +59,8 @@ type Config struct {
 	// Opts are the base flow options (seed, restart budget, workers, stage
 	// timeouts…) that per-request knobs override.
 	Opts core.Options
-	// Logf, when set, receives operational log lines (panics, breaker trips,
-	// drain progress). Logger, when set, takes precedence and receives the
-	// same lines as structured records.
-	Logf   func(format string, args ...any)
+	// Logger, when set, receives operational log lines (panics, breaker
+	// trips, drain progress) as structured records.
 	Logger *slog.Logger
 	// Telemetry, when set, is injected into every admitted request's context:
 	// the pipeline's spans and events land in its flight recorder (served at
@@ -438,9 +436,6 @@ func (s *Server) computeRoute(ctx context.Context, f *core.Flow, hg *hetgraph.Gr
 	if useModel {
 		s.recordModelOutcome(out.Degradation.ModelFault())
 	}
-	if out != nil {
-		s.met.relax.Observe(out.Times.GuideGeneration)
-	}
 	if !useModel {
 		resp.Breaker = "open"
 	}
@@ -479,14 +474,22 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	io.WriteString(w, "ok\n")
 }
 
+// ReadyBody is the JSON body of a 200 /readyz: the admission queue depth and
+// circuit-breaker state ("closed", "half-open" or "open") the cluster prober
+// grades live replicas by.
+type ReadyBody struct {
+	QueueDepth int64  `json:"queue_depth"`
+	Breaker    string `json:"breaker"`
+}
+
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	select {
 	case <-s.drained:
 		writeJSON(w, http.StatusServiceUnavailable, ErrorBody{Error: ErrorDetail{
 			Kind: "draining", Msg: "server is shutting down"}})
 	default:
-		w.WriteHeader(http.StatusOK)
-		io.WriteString(w, "ready\n")
+		state, _, _ := s.brk.snapshot()
+		writeJSON(w, http.StatusOK, ReadyBody{QueueDepth: s.adm.waiting.Load(), Breaker: state})
 	}
 }
 

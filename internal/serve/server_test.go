@@ -405,6 +405,36 @@ func TestDrainFinishesInflightAndLeaksNothing(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
+// TestReadyzBody pins the readiness body the cluster prober grades replicas
+// by: the admission queue depth and the breaker state.
+func TestReadyzBody(t *testing.T) {
+	s := New(nil, Config{Opts: testOpts(), BreakerThreshold: 1, BreakerCooldown: time.Hour})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	ready := func() ReadyBody {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var rb ReadyBody
+		if err := json.NewDecoder(resp.Body).Decode(&rb); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("/readyz status %d decode %v", resp.StatusCode, err)
+		}
+		return rb
+	}
+	if got := ready(); got != (ReadyBody{QueueDepth: 0, Breaker: "closed"}) {
+		t.Errorf("idle /readyz = %+v", got)
+	}
+	s.adm.waiting.Add(3)
+	s.brk.record(true)
+	if got := ready(); got != (ReadyBody{QueueDepth: 3, Breaker: "open"}) {
+		t.Errorf("loaded /readyz = %+v, want queue 3 breaker open", got)
+	}
+	s.adm.waiting.Add(-3)
+}
+
 func TestReadyzFlipsWhileDraining(t *testing.T) {
 	s := New(nil, Config{Opts: testOpts()})
 	ts := httptest.NewServer(s.Handler())

@@ -198,3 +198,42 @@ func TestStageMetricsExposition(t *testing.T) {
 		t.Errorf("prom exposition missing stage histogram:\n%.2000s", body)
 	}
 }
+
+// TestLadderBottomRouteAttribution pins that a /v1/route answered from the
+// ladder bottom — no model, or the breaker open — still attributes its
+// routing time: a positive route stage in the timing header and a
+// guided-routing span in the flight recorder.
+func TestLadderBottomRouteAttribution(t *testing.T) {
+	for _, breakerOpen := range []bool{false, true} {
+		tel := obs.New(obs.Options{Seed: 13})
+		s := New(nil, Config{Opts: testOpts(), Telemetry: tel, BreakerThreshold: 1, BreakerCooldown: time.Hour})
+		if breakerOpen {
+			s.brk.record(true)
+		}
+		ts := httptest.NewServer(s.Handler())
+		resp, body := postJSON(t, ts.URL+"/v1/route", `{"bench":"OTA1-A"}`)
+		ts.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("breakerOpen=%v: status %d body %s", breakerOpen, resp.StatusCode, body)
+		}
+		timing := resp.Header.Get(HeaderTiming)
+		var routeMS float64
+		for _, part := range strings.Split(timing, ", ") {
+			if v, ok := strings.CutPrefix(part, "route;dur="); ok {
+				routeMS, _ = strconv.ParseFloat(v, 64)
+			}
+		}
+		if routeMS <= 0 {
+			t.Errorf("breakerOpen=%v: timing header %q has no positive route stage", breakerOpen, timing)
+		}
+		spans := 0
+		for _, e := range tel.Recorder().Snapshot() {
+			if e.Name == "guided-routing" && e.Phase == obs.PhaseSpan {
+				spans++
+			}
+		}
+		if spans != 1 {
+			t.Errorf("breakerOpen=%v: %d guided-routing spans recorded, want 1", breakerOpen, spans)
+		}
+	}
+}

@@ -1,10 +1,9 @@
 // Package stats provides the small statistical toolkit the experiment
-// harness uses: Pearson and Spearman correlation (model-quality validation),
-// geometric means (the Table-2 Average row), and simple summaries.
+// harness uses: Pearson and Spearman correlation (model-quality validation)
+// and simple summaries.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -33,22 +32,6 @@ func Std(xs []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s / float64(len(xs)))
-}
-
-// GeoMean returns the geometric mean of positive values; an error is
-// returned when any value is non-positive.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return math.NaN(), fmt.Errorf("stats: geomean of empty slice")
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, fmt.Errorf("stats: geomean requires positive values, got %g", x)
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs))), nil
 }
 
 // Pearson returns the linear correlation coefficient of two equal-length
@@ -108,26 +91,4 @@ func Spearman(a, b []float64) float64 {
 		return 0
 	}
 	return Pearson(ranks(a), ranks(b))
-}
-
-// Quantile returns the q-th quantile (0 ≤ q ≤ 1) by linear interpolation.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[lo]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
 }

@@ -22,19 +22,6 @@ func TestMeanStd(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	g, err := GeoMean([]float64{1, 4, 16})
-	if err != nil || !almost(g, 4, 1e-12) {
-		t.Errorf("GeoMean = %g, %v", g, err)
-	}
-	if _, err := GeoMean([]float64{1, -1}); err == nil {
-		t.Errorf("negative values must error")
-	}
-	if _, err := GeoMean(nil); err == nil {
-		t.Errorf("empty must error")
-	}
-}
-
 func TestPearsonExact(t *testing.T) {
 	a := []float64{1, 2, 3, 4, 5}
 	b := []float64{2, 4, 6, 8, 10}
@@ -99,26 +86,5 @@ func TestRanks(t *testing.T) {
 		if r[i] != want[i] {
 			t.Fatalf("ranks = %v, want %v", r, want)
 		}
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if Quantile(xs, 0) != 1 || Quantile(xs, 1) != 5 {
-		t.Errorf("extreme quantiles wrong")
-	}
-	if !almost(Quantile(xs, 0.5), 3, 1e-12) {
-		t.Errorf("median = %g", Quantile(xs, 0.5))
-	}
-	if !almost(Quantile(xs, 0.25), 2, 1e-12) {
-		t.Errorf("q25 = %g", Quantile(xs, 0.25))
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Errorf("empty quantile must be NaN")
-	}
-	// Order-independence.
-	shuffled := []float64{5, 1, 4, 2, 3}
-	if Quantile(shuffled, 0.5) != 3 {
-		t.Errorf("quantile must sort internally")
 	}
 }

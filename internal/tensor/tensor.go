@@ -155,7 +155,7 @@ func (t *Tensor) Randn(rng *rand.Rand, std float64) *Tensor {
 
 // MatMul computes out = a @ b for 2-D tensors; out may be nil.
 //
-// The shape-mismatch panics in MatMul/MatMulATB/MatMulABT are deliberate
+// The shape-mismatch panics in the MatMul kernels are deliberate
 // invariant checks, not input validation: operand shapes are fixed by the
 // network architecture at construction time, so a mismatch here is a wiring
 // bug in model code that no caller could meaningfully recover from.
@@ -196,18 +196,8 @@ func MatMulInto(out, a, b *Tensor) {
 	}
 }
 
-// MatMulATB computes aᵀ @ b (used by backprop).
-func MatMulATB(a, b *Tensor) *Tensor {
-	if a.Dims() != 2 || b.Dims() != 2 || a.Shape[0] != b.Shape[0] {
-		panic(fmt.Sprintf("tensor: matmulATB shape mismatch %v x %v", a.Shape, b.Shape))
-	}
-	out := New(a.Shape[1], b.Shape[1])
-	MatMulATBInto(out, a, b)
-	return out
-}
-
-// MatMulATBInto computes out = aᵀ @ b into a caller-owned tensor, zeroing
-// out first (same kernel as MatMulATB).
+// MatMulATBInto computes out = aᵀ @ b (used by backprop) into a
+// caller-owned tensor, zeroing out first.
 func MatMulATBInto(out, a, b *Tensor) {
 	if a.Dims() != 2 || b.Dims() != 2 || a.Shape[0] != b.Shape[0] {
 		panic(fmt.Sprintf("tensor: matmulATB shape mismatch %v x %v", a.Shape, b.Shape))
@@ -233,18 +223,8 @@ func MatMulATBInto(out, a, b *Tensor) {
 	}
 }
 
-// MatMulABT computes a @ bᵀ (used by backprop).
-func MatMulABT(a, b *Tensor) *Tensor {
-	if a.Dims() != 2 || b.Dims() != 2 || a.Shape[1] != b.Shape[1] {
-		panic(fmt.Sprintf("tensor: matmulABT shape mismatch %v x %v", a.Shape, b.Shape))
-	}
-	out := New(a.Shape[0], b.Shape[0])
-	MatMulABTInto(out, a, b)
-	return out
-}
-
-// MatMulABTInto computes out = a @ bᵀ into a caller-owned tensor (same
-// kernel as MatMulABT; every element is assigned, so no zeroing is needed).
+// MatMulABTInto computes out = a @ bᵀ (used by backprop) into a
+// caller-owned tensor (every element is assigned, so no zeroing is needed).
 func MatMulABTInto(out, a, b *Tensor) {
 	if a.Dims() != 2 || b.Dims() != 2 || a.Shape[1] != b.Shape[1] {
 		panic(fmt.Sprintf("tensor: matmulABT shape mismatch %v x %v", a.Shape, b.Shape))

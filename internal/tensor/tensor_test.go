@@ -52,7 +52,7 @@ func TestMatMulTransposesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := New(4, 3).Randn(rng, 1)
 	b := New(4, 5).Randn(rng, 1)
-	// aᵀ b via MatMulATB must equal explicit transpose + MatMul.
+	// aᵀ b via MatMulATBInto must equal explicit transpose + MatMul.
 	at := New(3, 4)
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 3; j++ {
@@ -60,10 +60,11 @@ func TestMatMulTransposesAgree(t *testing.T) {
 		}
 	}
 	want := MatMul(at, b)
-	got := MatMulATB(a, b)
+	got := New(3, 5)
+	MatMulATBInto(got, a, b)
 	for i := range want.Data {
 		if math.Abs(want.Data[i]-got.Data[i]) > 1e-12 {
-			t.Fatalf("MatMulATB mismatch at %d", i)
+			t.Fatalf("MatMulATBInto mismatch at %d", i)
 		}
 	}
 
@@ -76,10 +77,11 @@ func TestMatMulTransposesAgree(t *testing.T) {
 		}
 	}
 	want2 := MatMul(a, ct)
-	got2 := MatMulABT(a, c)
+	got2 := New(4, 5)
+	MatMulABTInto(got2, a, c)
 	for i := range want2.Data {
 		if math.Abs(want2.Data[i]-got2.Data[i]) > 1e-12 {
-			t.Fatalf("MatMulABT mismatch at %d", i)
+			t.Fatalf("MatMulABTInto mismatch at %d", i)
 		}
 	}
 }

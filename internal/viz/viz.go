@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"analogfold/internal/grid"
-	"analogfold/internal/groute"
 	"analogfold/internal/guidance"
 	"analogfold/internal/route"
 )
@@ -118,41 +117,6 @@ func GuidanceSVG(g *grid.Grid, gd guidance.Set, title string) string {
 			cx-ax, cy, cx+ax, cy, col)
 		fmt.Fprintf(&b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="0.9"/>`+"\n",
 			cx, cy-ay, cx, cy+ay, col)
-	}
-	b.WriteString("</g>\n</svg>\n")
-	return b.String()
-}
-
-// CongestionSVG renders a global-routing congestion map as a heat grid:
-// darker red means higher demand/capacity on the GCell's worst edge.
-func CongestionSVG(g *grid.Grid, m *groute.Map, title string) string {
-	p := g.Place
-	scale := 0.02
-	w := float64(p.Die.Hi.X) * scale
-	h := float64(p.Die.Hi.Y) * scale
-	cell := float64(m.K*g.Pitch) * scale
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%.0f" height="%.0f" viewBox="0 0 %.0f %.0f">`+"\n", w+20, h+40, w+20, h+40)
-	fmt.Fprintf(&b, `<text x="10" y="16" font-family="monospace" font-size="12">%s</text>`+"\n", title)
-	fmt.Fprintf(&b, `<g transform="translate(10,30)">`+"\n")
-	for gy := 0; gy < m.NY; gy++ {
-		for gx := 0; gx < m.NX; gx++ {
-			c := m.CongestionAt(gx*m.K, gy*m.K)
-			if c <= 0 {
-				continue
-			}
-			if c > 1 {
-				c = 1
-			}
-			alpha := 0.1 + 0.85*c
-			fmt.Fprintf(&b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="rgb(200,30,30)" fill-opacity="%.2f"/>`+"\n",
-				float64(gx)*cell, h-float64(gy+1)*cell, cell, cell, alpha)
-		}
-	}
-	for i := range p.Circuit.Devices {
-		r := p.DeviceRect(i)
-		fmt.Fprintf(&b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="none" stroke="#555" stroke-width="0.4"/>`+"\n",
-			float64(r.Lo.X)*scale, h-float64(r.Hi.Y)*scale, float64(r.W())*scale, float64(r.H())*scale)
 	}
 	b.WriteString("</g>\n</svg>\n")
 	return b.String()

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"analogfold/internal/grid"
-	"analogfold/internal/groute"
 	"analogfold/internal/guidance"
 	"analogfold/internal/netlist"
 	"analogfold/internal/place"
@@ -71,17 +70,5 @@ func TestGuidanceSVG(t *testing.T) {
 	svg := GuidanceSVG(g, gd, "guides")
 	if !strings.Contains(svg, "<line") || !strings.Contains(svg, "guides") {
 		t.Errorf("guidance SVG incomplete")
-	}
-}
-
-func TestCongestionSVG(t *testing.T) {
-	g, _ := routed(t)
-	m, err := groute.Estimate(g, groute.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svg := CongestionSVG(g, m, "congestion")
-	if !strings.Contains(svg, "<svg") || !strings.Contains(svg, "fill-opacity") {
-		t.Errorf("congestion SVG incomplete")
 	}
 }

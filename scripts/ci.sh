@@ -142,4 +142,22 @@ if ! awk '
   exit 1
 fi
 
+echo "== stage-clock grep (core phases are timed only by withPhase) =="
+# core.withPhase is the flow's one stage clock: its return feeds StageTimes,
+# the Figure-5 breakdown and Outcome.Runtime, alongside the span and the
+# request stage histograms. A second time.Now/time.Since in the package would
+# measure a phase twice and let the copies drift. The awk pass skips the
+# withPhase body (first column-0 closing brace ends it) and flags any other
+# clock read in non-test core files.
+if ! awk '
+  FNR == 1 { in_fn = 0 }
+  /^func withPhase\(/ { in_fn = 1 }
+  !in_fn && /time\.(Now|Since)\(/ { printf "%s:%d: %s\n", FILENAME, FNR, $0; bad = 1 }
+  in_fn && /^}/ { in_fn = 0 }
+  END { exit bad }
+' $(ls internal/core/*.go | grep -v '_test\.go$'); then
+  echo "FAIL: clock outside core.withPhase — time a stage through withPhase's return" >&2
+  exit 1
+fi
+
 echo "CI OK"
