@@ -57,6 +57,7 @@ dataset-chaos:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzNetlistBuild -fuzztime 10s ./internal/netlist/
 	$(GO) test -run '^$$' -fuzz FuzzTensorTryFromSlice -fuzztime 10s ./internal/tensor/
+	$(GO) test -run '^$$' -fuzz FuzzTapeReset -fuzztime 10s ./internal/ad/
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -491,7 +491,6 @@ func (f *Flow) RunAnalogFold(ctx context.Context) (*Outcome, error) {
 // returned Outcome carries Runtime; the StageTimes fill Placement,
 // GuideGeneration and GuidedRouting.
 func (f *Flow) relaxAndRoute(ctx context.Context, model *gnn3d.Model, hg *hetgraph.Graph, report *DegradationReport) (*Outcome, StageTimes, error) {
-	o := f.Opts
 	times := StageTimes{Placement: f.placeTime}
 	var err error
 
@@ -502,10 +501,7 @@ func (f *Flow) relaxAndRoute(ctx context.Context, model *gnn3d.Model, hg *hetgra
 			sctx, cancel := f.stageCtx(ctx)
 			defer cancel()
 			times.GuideGeneration = withPhase(sctx, "relaxation", func(pctx context.Context) {
-				rres, err = relax.Optimize(pctx, model, hg, relax.Config{
-					Restarts: o.RelaxRestarts, NDerive: o.NDerive, Seed: o.Seed,
-					MaxIter: 25, Workers: o.Workers,
-				})
+				rres, err = relax.Optimize(pctx, model, hg, f.relaxConfig())
 			})
 		}()
 		if err != nil {
@@ -532,6 +528,17 @@ func (f *Flow) relaxAndRoute(ctx context.Context, model *gnn3d.Model, hg *hetgra
 	}
 	best.Runtime = times.GuideGeneration + times.GuidedRouting
 	return best, times, nil
+}
+
+// relaxConfig is the flow's potential-relaxation setting. The routed flow and
+// the guidance-only serving path both relax with it, which is what makes
+// served guidance the guidance the flow routes with.
+func (f *Flow) relaxConfig() relax.Config {
+	o := f.Opts
+	return relax.Config{
+		Restarts: o.RelaxRestarts, NDerive: o.NDerive, Seed: o.Seed,
+		MaxIter: 25, Workers: o.Workers,
+	}
 }
 
 // routeLadder routes every derived guidance set concurrently on a cloned

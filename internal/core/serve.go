@@ -52,43 +52,22 @@ func (f *Flow) RunAnalogFoldWarm(ctx context.Context, model *gnn3d.Model, hg *he
 	return best, nil
 }
 
-// DeriveGuidanceWarm runs only the potential relaxation on a warm model and
-// returns every derived guidance set with its potential — the /v1/guidance
-// payload. The relaxation settings mirror RunAnalogFold's, so for a fixed
-// checkpoint, flow and options the guidance here is bit-identical to what the
-// full warm flow routes with.
+// DeriveGuidanceWarm runs only the potential relaxation on a warm model over
+// the prebuilt graph hg and returns every derived guidance set with its
+// potential, unscored — the /v1/guidance payload before ScoreGuidanceResults.
+// The relaxation settings are RunAnalogFold's, so for a fixed checkpoint, flow
+// and options the guidance here is bit-identical to what the full warm flow
+// routes with.
 func (f *Flow) DeriveGuidanceWarm(ctx context.Context, model *gnn3d.Model, hg *hetgraph.Graph) (*relax.Result, error) {
-	return f.deriveGuidance(ctx, model, hg, false)
-}
-
-// DeriveGuidanceDeferred is DeriveGuidanceWarm with candidate scoring
-// deferred: Result.Predictions stays nil until ScoreGuidanceResults fills it.
-// The serving daemon's micro-batching stage uses it so the candidates of
-// every relaxation in a wave ride one stacked PredictBatch call.
-func (f *Flow) DeriveGuidanceDeferred(ctx context.Context, model *gnn3d.Model, hg *hetgraph.Graph) (*relax.Result, error) {
-	return f.deriveGuidance(ctx, model, hg, true)
-}
-
-func (f *Flow) deriveGuidance(ctx context.Context, model *gnn3d.Model, hg *hetgraph.Graph, deferScoring bool) (*relax.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if hg == nil {
-		var err error
-		if hg, err = f.BuildHetGraph(); err != nil {
-			return nil, err
-		}
-	}
-	o := f.Opts
 	sctx, cancel := f.stageCtx(ctx)
 	defer cancel()
 	var rres *relax.Result
 	var err error
 	withPhase(sctx, "relaxation", func(pctx context.Context) {
-		rres, err = relax.Optimize(pctx, model, hg, relax.Config{
-			Restarts: o.RelaxRestarts, NDerive: o.NDerive, Seed: o.Seed,
-			MaxIter: 25, Workers: o.Workers, DeferScoring: deferScoring,
-		})
+		rres, err = relax.Optimize(pctx, model, hg, f.relaxConfig())
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: warm guidance: %w", err)
@@ -96,10 +75,11 @@ func (f *Flow) deriveGuidance(ctx context.Context, model *gnn3d.Model, hg *hetgr
 	return rres, nil
 }
 
-// ScoreGuidanceResults is the wave-scoped second half of the deferred path:
-// it scores the candidates of every result in rs through a single stacked
-// PredictBatch call. Errors carry the same wrapping as a scoring failure
-// inside DeriveGuidanceWarm, so callers degrade identically on both paths.
+// ScoreGuidanceResults scores the candidates of every result in rs through a
+// single stacked PredictBatch call, outside the relaxation phase. The daemon
+// scores one request's result or a whole batching wave through it, and the
+// error wrapping matches DeriveGuidanceWarm's, so callers degrade identically
+// on a relaxation or a scoring failure.
 func ScoreGuidanceResults(ctx context.Context, model *gnn3d.Model, hg *hetgraph.Graph, rs []*relax.Result) error {
 	if err := relax.ScoreResults(ctx, model, hg, rs); err != nil {
 		return fmt.Errorf("core: warm guidance: %w", err)

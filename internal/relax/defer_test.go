@@ -1,74 +1,82 @@
 package relax
 
 import (
+	"bytes"
 	"context"
+	"strings"
 	"testing"
 
 	"analogfold/internal/netlist"
 	"analogfold/internal/obs"
+	"analogfold/internal/tensor"
 )
 
-// TestDeferredScoringParity pins the invariant the serving batcher depends
-// on: DeferScoring + ScoreResults produces exactly the Predictions that the
-// inline Optimize path does, whether a result is scored alone or stacked
-// with others in one wave — ForwardBatch is row-independent, so wave
-// composition cannot change any row.
+// TestDeferredScoringParity pins the split between deriving and scoring that
+// every caller depends on: Optimize returns unscored guidance and touches no
+// candidate counter, ScoreResults on one result equals a by-hand Predict per
+// guide, and stacking that result with another in one wave changes no row —
+// ForwardBatch is row-independent, so wave composition cannot change any
+// response.
 func TestDeferredScoringParity(t *testing.T) {
 	c := netlist.OTA1()
 	g := buildGraph(t, c, 9)
 	m := trainedModel(t, g, 9)
 	cfg := Config{Restarts: 3, MaxIter: 10, NDerive: 2, Seed: 9}
 
-	inline, err := Optimize(context.Background(), m, g, cfg)
+	reg := obs.NewRegistry()
+	ctx := obs.WithTelemetry(context.Background(), obs.New(obs.Options{Seed: 9, Registry: reg}))
+	solo, err := Optimize(ctx, m, g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(inline.Predictions) != len(inline.Guides) {
-		t.Fatalf("inline predictions %d != guides %d", len(inline.Predictions), len(inline.Guides))
+	if solo.Predictions != nil {
+		t.Fatalf("Optimize scored its result: %d predictions", len(solo.Predictions))
+	}
+	var prom bytes.Buffer
+	if err := reg.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(prom.String(), "analogfold_relax_evals_total") {
+		t.Fatalf("relaxation counters missing from the registry:\n%s", prom.String())
+	}
+	if strings.Contains(prom.String(), "analogfold_relax_candidates_") {
+		t.Fatalf("Optimize touched a candidate-scoring counter:\n%s", prom.String())
 	}
 
-	dcfg := cfg
-	dcfg.DeferScoring = true
-	deferred, err := Optimize(context.Background(), m, g, dcfg)
-	if err != nil {
+	if err := ScoreResults(context.Background(), m, g, []*Result{solo}); err != nil {
 		t.Fatal(err)
 	}
-	if len(deferred.Predictions) != 0 {
-		t.Fatalf("deferred result already scored: %d predictions", len(deferred.Predictions))
+	if len(solo.Predictions) != len(solo.Guides) {
+		t.Fatalf("%d predictions for %d guides", len(solo.Predictions), len(solo.Guides))
 	}
-	if len(deferred.Guides) != len(inline.Guides) {
-		t.Fatalf("deferred guides %d != inline %d", len(deferred.Guides), len(inline.Guides))
-	}
-	if err := ScoreResults(context.Background(), m, g, []*Result{deferred}); err != nil {
-		t.Fatal(err)
-	}
-	for k := range inline.Predictions {
-		if deferred.Predictions[k] != inline.Predictions[k] {
-			t.Fatalf("solo deferred scoring diverges at candidate %d:\n%v\nvs\n%v",
-				k, deferred.Predictions[k], inline.Predictions[k])
+	for k, gd := range solo.Guides {
+		want, err := m.Predict(g, tensor.FromSlice(gd.Flat(), len(gd.PerNet), 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if solo.Predictions[k] != want {
+			t.Fatalf("candidate %d: scored %v, by-hand Predict %v", k, solo.Predictions[k], want)
 		}
 	}
 
-	// Stack the same result with a neighbor from a different seed: one shared
-	// scoring call, same rows bit for bit.
-	ocfg := dcfg
+	// Stack a fresh copy of the same result with a neighbor from a different
+	// seed: one shared scoring call, same rows bit for bit.
+	ocfg := cfg
 	ocfg.Seed = 10
 	other, err := Optimize(context.Background(), m, g, ocfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := Optimize(context.Background(), m, g, dcfg)
+	again, err := Optimize(context.Background(), m, g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	ctx := obs.WithTelemetry(context.Background(), obs.New(obs.Options{Seed: 9, Registry: reg}))
 	if err := ScoreResults(ctx, m, g, []*Result{other, again}); err != nil {
 		t.Fatal(err)
 	}
-	for k := range inline.Predictions {
-		if again.Predictions[k] != inline.Predictions[k] {
-			t.Fatalf("stacked deferred scoring diverges at candidate %d", k)
+	for k := range solo.Predictions {
+		if again.Predictions[k] != solo.Predictions[k] {
+			t.Fatalf("stacked scoring diverges from solo at candidate %d", k)
 		}
 	}
 	if n := reg.Counter("analogfold_relax_score_waves_total").Value(); n != 1 {

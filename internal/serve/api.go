@@ -105,11 +105,13 @@ func requestOptions(f *core.Flow, seed int64, restarts, nderive int) *core.Flow 
 	return f.WithOptions(o)
 }
 
-// BuildGuidanceResponse derives guidance through the warm relaxation path and
-// assembles the wire format. useModel=false (breaker open) short-circuits to
-// uniform guidance. Both the daemon handler and the `analogfold guidance` CLI
-// subcommand call this one function — which is what makes a served response
-// bit-identical to the CLI artifact for the same checkpoint and knobs.
+// BuildGuidanceResponse derives guidance through the warm relaxation path,
+// scores it after the relaxation phase through the same scorer a batching
+// wave uses, and assembles the wire format. A nil hg is built from the flow.
+// useModel=false (breaker open) short-circuits to uniform guidance. Both the
+// daemon handler and the `analogfold guidance` CLI subcommand call this one
+// function — which is what makes a served response bit-identical to the CLI
+// artifact for the same checkpoint and knobs.
 func BuildGuidanceResponse(ctx context.Context, f *core.Flow, model *gnn3d.Model, hg *hetgraph.Graph, req GuidanceRequest, useModel bool) (*GuidanceResponse, error) {
 	rf := requestOptions(f, req.Seed, req.Restarts, req.NDerive)
 	resp := &GuidanceResponse{
@@ -120,7 +122,17 @@ func BuildGuidanceResponse(ctx context.Context, f *core.Flow, model *gnn3d.Model
 	if !useModel || model == nil {
 		return uniformGuidanceResponse(rf, resp, ""), nil
 	}
-	rres, err := rf.DeriveGuidanceWarm(ctx, model, hg)
+	var rres *relax.Result
+	var err error
+	if hg == nil {
+		hg, err = rf.BuildHetGraph()
+	}
+	if err == nil {
+		rres, err = rf.DeriveGuidanceWarm(ctx, model, hg)
+	}
+	if err == nil {
+		err = core.ScoreGuidanceResults(ctx, model, hg, []*relax.Result{rres})
+	}
 	return finishGuidanceResponse(rf, resp, rres, err)
 }
 

@@ -16,8 +16,8 @@ import (
 // benchmark into scoring waves. Each member still runs its own relaxation
 // concurrently (seeds and restart budgets differ per request, and relaxation
 // dominates the latency), but the final candidate-scoring pass — one
-// PredictBatch per request on the unbatched path — is deferred and executed
-// once per wave over every member's stacked candidates.
+// PredictBatch per request on the unbatched path — runs once per wave over
+// every member's stacked candidates.
 //
 // Wave composition cannot change any response: ForwardBatch is
 // row-independent, so each member's prediction rows are bit-identical to
@@ -161,10 +161,10 @@ func (s *Server) runWave(wv *wave) {
 }
 
 // buildGuidanceWave is the model path of /v1/guidance when batching is on:
-// relaxation runs request-scoped with scoring deferred, then the wave barrier
-// scores every member at once. The (result, error) pair feeding
-// finishGuidanceResponse is identical to what DeriveGuidanceWarm would have
-// produced, so bodies match the unbatched path byte for byte.
+// relaxation runs request-scoped, then the wave barrier scores every member
+// at once. The (result, error) pair feeding finishGuidanceResponse is
+// identical to what BuildGuidanceResponse's solo scoring would have produced,
+// so bodies match the unbatched path byte for byte.
 func (s *Server) buildGuidanceWave(ctx context.Context, f *core.Flow, hg *hetgraph.Graph, req GuidanceRequest) (*GuidanceResponse, error) {
 	rf := requestOptions(f, req.Seed, req.Restarts, req.NDerive)
 	resp := &GuidanceResponse{
@@ -175,7 +175,7 @@ func (s *Server) buildGuidanceWave(ctx context.Context, f *core.Flow, hg *hetgra
 	wv, m := s.batch.join(f.Name(), hg)
 	m.stages = obs.StagesFrom(ctx)
 	m.tc, m.tcOK = obs.ActiveTraceContext(ctx)
-	m.res, m.err = rf.DeriveGuidanceDeferred(ctx, s.model, hg)
+	m.res, m.err = rf.DeriveGuidanceWarm(ctx, s.model, hg)
 	wv.derives.Done()
 	waitStart := time.Now()
 	select {

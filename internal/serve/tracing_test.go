@@ -217,13 +217,7 @@ func TestLadderBottomRouteAttribution(t *testing.T) {
 			t.Fatalf("breakerOpen=%v: status %d body %s", breakerOpen, resp.StatusCode, body)
 		}
 		timing := resp.Header.Get(HeaderTiming)
-		var routeMS float64
-		for _, part := range strings.Split(timing, ", ") {
-			if v, ok := strings.CutPrefix(part, "route;dur="); ok {
-				routeMS, _ = strconv.ParseFloat(v, 64)
-			}
-		}
-		if routeMS <= 0 {
+		if routeMS, _ := timingStage(timing, "route"); routeMS <= 0 {
 			t.Errorf("breakerOpen=%v: timing header %q has no positive route stage", breakerOpen, timing)
 		}
 		spans := 0
@@ -235,5 +229,86 @@ func TestLadderBottomRouteAttribution(t *testing.T) {
 		if spans != 1 {
 			t.Errorf("breakerOpen=%v: %d guided-routing spans recorded, want 1", breakerOpen, spans)
 		}
+	}
+}
+
+// timingStage returns a stage's duration in ms from an X-Analogfold-Timing
+// header, and whether the header carries the stage at all.
+func timingStage(header, stage string) (float64, bool) {
+	for _, part := range strings.Split(header, ", ") {
+		if v, ok := strings.CutPrefix(part, stage+";dur="); ok {
+			ms, err := strconv.ParseFloat(v, 64)
+			return ms, err == nil
+		}
+	}
+	return 0, false
+}
+
+// TestScoreTimedOutsideRelaxation pins that candidate scoring is attributed
+// once, outside the relaxation phase: an elite /v1/route answer never scores
+// (the router and simulator pick the winner), so its timing header has no
+// score stage; an unbatched /v1/guidance answer scores after relaxation, so
+// its score stage is positive and its relax.candidates span is a sibling of
+// the relaxation span, not a child whose time relax would count again.
+func TestScoreTimedOutsideRelaxation(t *testing.T) {
+	m := trainedModel(t)
+	s := New(m, Config{Opts: testOpts(), Telemetry: obs.New(obs.Options{Seed: 17}), BatchWindow: 0})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, body := postJSON(t, ts.URL+"/v1/route", `{"bench":"OTA1-A"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("route status %d body %s", resp.StatusCode, body)
+	}
+	var rr RouteResponse
+	if err := json.Unmarshal(body, &rr); err != nil || rr.Rung != "elite" {
+		t.Fatalf("route answer rung %q (err %v), want elite: %s", rr.Rung, err, body)
+	}
+	timing := resp.Header.Get(HeaderTiming)
+	if _, ok := timingStage(timing, "relax"); !ok {
+		t.Errorf("route timing header %q has no relax stage", timing)
+	}
+	if strings.Contains(timing, "score;dur=") {
+		t.Errorf("route timing header %q scores candidates no one reads", timing)
+	}
+
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/guidance", strings.NewReader(`{"bench":"OTA1-A"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(obs.HeaderTraceparent, obs.FormatTraceparent(obs.TraceContext{TraceID: strings.Repeat("cd", 16), SpanID: 0x17}))
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("guidance status %d err %v body %s", resp.StatusCode, err, body)
+	}
+	timing = resp.Header.Get(HeaderTiming)
+	if ms, ok := timingStage(timing, "score"); !ok || ms <= 0 {
+		t.Errorf("guidance timing header %q has no positive score stage", timing)
+	}
+	if _, ok := timingStage(timing, "relax"); !ok {
+		t.Errorf("guidance timing header %q has no relax stage", timing)
+	}
+	sums, err := obs.DecodeSpanSummaries(resp.Trailer.Get(TrailerSpans))
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := map[string]obs.SpanSummary{}
+	for _, sp := range sums {
+		byName[sp.Name] = sp
+	}
+	relaxSpan, okR := byName["relaxation"]
+	score, okS := byName["relax.candidates"]
+	if !okR || !okS {
+		t.Fatalf("trailer lacks relaxation or relax.candidates span: %+v", sums)
+	}
+	if score.Parent == relaxSpan.ID || score.Parent != relaxSpan.Parent {
+		t.Errorf("relax.candidates parent %d, want the relaxation span's sibling under %d (relaxation is %d)",
+			score.Parent, relaxSpan.Parent, relaxSpan.ID)
 	}
 }

@@ -66,20 +66,38 @@ func obsGrid(tb testing.TB) *grid.Grid {
 	return g
 }
 
-// medianWall runs fn reps times and returns the median wall time — the
-// noise-resistant center for an overhead comparison.
-func medianWall(tb testing.TB, reps int, fn func() error) time.Duration {
+// pairedMedians runs off and on reps times each, interleaved, and returns
+// their median wall times — the noise-resistant centers for an overhead
+// comparison. Interleaving puts load from work running alongside (other test
+// packages, the scheduler) on both sides alike; timing every off repeat
+// before every on repeat would charge a load burst to one side only. The side
+// that runs first alternates per pair, so neither always inherits the other's
+// warm caches.
+func pairedMedians(tb testing.TB, reps int, off, on func() error) (time.Duration, time.Duration) {
 	tb.Helper()
-	times := make([]time.Duration, 0, reps)
-	for i := 0; i < reps; i++ {
+	wall := func(fn func() error) time.Duration {
 		t0 := time.Now()
 		if err := fn(); err != nil {
 			tb.Fatal(err)
 		}
-		times = append(times, time.Since(t0))
+		return time.Since(t0)
 	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	return times[len(times)/2]
+	offT := make([]time.Duration, reps)
+	onT := make([]time.Duration, reps)
+	for i := 0; i < reps; i++ {
+		if i%2 == 0 {
+			offT[i] = wall(off)
+			onT[i] = wall(on)
+		} else {
+			onT[i] = wall(on)
+			offT[i] = wall(off)
+		}
+	}
+	median := func(ts []time.Duration) time.Duration {
+		sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+		return ts[len(ts)/2]
+	}
+	return median(offT), median(onT)
 }
 
 // BenchmarkObsOverhead measures each instrumented hot path — negotiated
@@ -121,10 +139,11 @@ func BenchmarkObsOverhead(b *testing.B) {
 		if err := w.run(context.Background()); err != nil { // warm-up
 			b.Fatal(err)
 		}
-		off := medianWall(b, reps, func() error { return w.run(context.Background()) })
 		tel := obs.New(obs.Options{Seed: 1})
 		ctx := obs.WithTelemetry(context.Background(), tel)
-		on := medianWall(b, reps, func() error { return w.run(ctx) })
+		off, on := pairedMedians(b, reps,
+			func() error { return w.run(context.Background()) },
+			func() error { return w.run(ctx) })
 		pct, noise := overheadPct(off, on)
 		row := obsBenchRow{
 			Workload:    w.name,
@@ -149,10 +168,9 @@ func BenchmarkObsOverhead(b *testing.B) {
 		if err := workloads[1].run(ctxOff); err != nil { // warm-up
 			b.Fatal(err)
 		}
-		off := medianWall(b, reps, func() error { return workloads[1].run(ctxOff) })
 		telOn := obs.New(obs.Options{Seed: 1})
 		remote := obs.TraceContext{TraceID: "0123456789abcdef0123456789abcdef", SpanID: 0x42}
-		on := medianWall(b, reps, func() error {
+		off, on := pairedMedians(b, reps, func() error { return workloads[1].run(ctxOff) }, func() error {
 			ctx := obs.WithTelemetry(context.Background(), telOn)
 			ctx = obs.WithRemoteParent(ctx, remote)
 			col := obs.NewSpanCollector(obs.MaxExportSpans)
@@ -215,10 +233,11 @@ func TestObsOverheadSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	const reps = 5
-	off := medianWall(t, reps, func() error { return run(context.Background()) })
 	tel := obs.New(obs.Options{Seed: 1})
 	ctx := obs.WithTelemetry(context.Background(), tel)
-	on := medianWall(t, reps, func() error { return run(ctx) })
+	off, on := pairedMedians(t, reps,
+		func() error { return run(context.Background()) },
+		func() error { return run(ctx) })
 
 	slack := 10 * time.Millisecond
 	budget := time.Duration(float64(off)*1.05) + slack
@@ -253,17 +272,15 @@ func TestPropagationOverheadSmoke(t *testing.T) {
 	if err := run(ctxOff); err != nil { // warm-up
 		t.Fatal(err)
 	}
-	const reps = 5
-	off := medianWall(t, reps, func() error {
-		sctx, span := obs.StartSpan(ctxOff, "request")
-		defer span.End()
-		return run(sctx)
-	})
-
 	telOn := obs.New(obs.Options{Seed: 1})
 	remote := obs.TraceContext{TraceID: "0123456789abcdef0123456789abcdef", SpanID: 0x42}
 	var exported int
-	on := medianWall(t, reps, func() error {
+	const reps = 5
+	off, on := pairedMedians(t, reps, func() error {
+		sctx, span := obs.StartSpan(ctxOff, "request")
+		defer span.End()
+		return run(sctx)
+	}, func() error {
 		ctx := obs.WithTelemetry(context.Background(), telOn)
 		ctx = obs.WithRemoteParent(ctx, remote)
 		col := obs.NewSpanCollector(obs.MaxExportSpans)
